@@ -1,6 +1,7 @@
 """Exact solvers for F-Completion graph modification problems."""
 
 from .graph import (
+    CertificationError,
     CompletionSet,
     Graph,
     GraphFormatError,
@@ -40,8 +41,7 @@ from .recognition import (
     is_trivially_perfect,
 )
 from .threshold_subexp import (
-    assemble_partitions,
-    build_coloring_family,
+    class_partitions,
     threshold_complete,
 )
 from .tp_subexp import (

@@ -16,6 +16,14 @@ class GraphFormatError(ValueError):
     """Malformed edge-list input.  The message names the offending line."""
 
 
+class CertificationError(Exception):
+    """A solver's answer failed the check that certifies it.
+
+    Deliberately not a ValueError: callers that fall back to another solver
+    on ValueError must not hide a wrong answer.
+    """
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -326,14 +334,6 @@ def union_neighborhoods(g: Graph, mask: int) -> int:
     for v in bits(mask):
         out |= g.adj[v]
     return out
-
-
-def open_neighborhood(g: Graph, mask: int) -> int:
-    return union_neighborhoods(g, mask) & ~mask
-
-
-def closed_neighborhood(g: Graph, mask: int) -> int:
-    return union_neighborhoods(g, mask) | mask
 
 
 def parse_graph(text: str | bytes) -> Graph:

@@ -16,6 +16,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .graph import (
+    CertificationError,
     CompletionSet,
     Graph,
     Pattern,
@@ -229,7 +230,9 @@ def exact_chain_completion(a_side: int, b_side: int, g: Graph,
             a = a_list[i]
             pairs.append((a, v) if a < v else (v, a))
         s ^= 1 << i
-    assert len(pairs) == f[full]
+    if len(pairs) != f[full]:
+        raise CertificationError(
+            f"retraced chain completion has {len(pairs)} pairs, DP value {f[full]}")
     return CompletionSet(tuple(pairs), "addition")
 
 

@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import CompletionSet, Graph, bits, components, edges_within
+from .graph import (
+    CertificationError,
+    CompletionSet,
+    Graph,
+    bits,
+    components,
+    edges_within,
+)
 from .oracles import exact_split_completion
 from .recognition import is_pseudosplit, is_split
 
@@ -161,14 +168,17 @@ def pseudosplit_complete(g: Graph, k: int,
     for budget in range(k + 1):
         direct = exact_split_completion(g, budget)
         if direct is not None:
-            assert is_pseudosplit(direct.apply(g))[0]
+            if not is_pseudosplit(direct.apply(g))[0]:
+                raise CertificationError("split completion is not pseudosplit")
             return direct
         if seeds is None:
-            seeds = enumerate_c5_seeds(g)
-        for x_mask in seeds:
-            aug = build_augmented_instance(g, budget, x_mask)
-            if aug.budget < 0:
+            # A seed's C5 deficit is the budget its augmented instance spends
+            # up front; seeds it does not fit are skipped before any build.
+            seeds = [(x, 5 - edges_within(g, x)) for x in enumerate_c5_seeds(g)]
+        for x_mask, deficit in seeds:
+            if deficit > budget:
                 continue
+            aug = build_augmented_instance(g, budget, x_mask)
             sol = exact_split_completion(aug.graph, aug.budget)
             if sol is None:
                 continue
@@ -176,14 +186,18 @@ def pseudosplit_complete(g: Graph, k: int,
             if trace is not None:
                 trace.append((aug, minimal))
             base = g.vertices
-            assert all((1 << u) & base and (1 << v) & base for u, v in minimal), \
-                "minimal augmented solution touches a forcing vertex"
+            if not all((1 << u) & base and (1 << v) & base for u, v in minimal):
+                raise CertificationError(
+                    "minimal augmented solution touches a forcing vertex")
             pairs = set(minimal)
             for u, v in c5_supergraph_pairs(g, x_mask):
                 if not g.has_edge(u, v):
                     pairs.add((u, v))
             result = CompletionSet(tuple(pairs), "addition")
-            assert result.size <= budget
-            assert is_pseudosplit(result.apply(g))[0]
+            if result.size > budget:
+                raise CertificationError(
+                    f"pseudosplit answer has {result.size} pairs, budget {budget}")
+            if not is_pseudosplit(result.apply(g))[0]:
+                raise CertificationError("pseudosplit answer is not pseudosplit")
             return result
     return None

@@ -16,6 +16,8 @@ from .graph import (
     bits,
     components,
     find_induced,
+    mask_of,
+    occurrences,
 )
 
 
@@ -223,26 +225,9 @@ def is_chain(a_side: int, b_side: int, g: Graph) -> bool:
     return _nested(g, a_side)
 
 
-def _c5_masks(g: Graph, within: int) -> list[int]:
-    """5-sets of ``within`` inducing a C5, found by cycle extension."""
-    out = []
-    seen = set()
-    for tup in _c5_tuples(g, within):
-        key = 0
-        for v in tup:
-            key |= 1 << v
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
-
-
-def _c5_tuples(g: Graph, within: int):
-    from .graph import occurrences  # local import to avoid cycle at module load
-
-    sub, ids = g.induced(within)
-    for tup in occurrences(sub, Pattern.C5):
-        yield tuple(ids[t] for t in tup)
+def _c5_masks(g: Graph) -> list[int]:
+    """Vertex sets inducing a C5, once each, in order of first occurrence."""
+    return list(dict.fromkeys(mask_of(occ) for occ in occurrences(g, Pattern.C5)))
 
 
 def is_pseudosplit(g: Graph) -> tuple[bool, Optional[tuple[int, int, int]]]:
@@ -256,7 +241,7 @@ def is_pseudosplit(g: Graph) -> tuple[bool, Optional[tuple[int, int, int]]]:
         p = parts[0]
         return True, (p.clique, p.independent, 0)
     full = g.vertices
-    for x in _c5_masks(g, full):
+    for x in _c5_masks(g):
         rest = full & ~x
         sub_parts = split_partitions_within(g, rest)
         if sub_parts is None:

@@ -1,10 +1,12 @@
 """Threshold completion via chromatic coding.
 
-Per coloring: every color class must induce a split graph; the cross product
-of per-class split partitions yields global (C, I) candidates, each finished
-by making C a clique and nesting the I-to-C neighborhoods with the exact
-chain-completion DP.  Exhaustive coloring mode is exact; randomized mode is
-exact whenever some sampled coloring properly colors an optimal solution.
+The colorings are used only through the class partitions they induce, each
+taken once.  Per class partition: every class must induce a split graph; the
+cross product of per-class split partitions yields global (C, I) candidates,
+each finished by making C a clique and nesting the I-to-C neighborhoods with
+the exact chain-completion DP.  Exhaustive coloring mode is exact;
+randomized mode is exact whenever some sampled coloring properly colors an
+optimal solution.
 """
 
 from __future__ import annotations
@@ -12,36 +14,25 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .graph import CompletionSet, Graph, bits, non_edges_within
+from .graph import (
+    CertificationError,
+    CompletionSet,
+    Graph,
+    bits,
+    non_edges_within,
+)
 from .oracles import exact_chain_completion
 from .recognition import SplitPartition, is_threshold, split_partitions_within
 from .tp_subexp import sqrt_budgets
 
 EXHAUSTIVE_GUARD = 10 ** 6
-DEFAULT_ASSEMBLY_CAP = 5_000_000
+ASSEMBLY_CAP = 5_000_000
 
 
 class ColoringGuardError(ValueError):
     """Exhaustive family would exceed the guard; suggests randomized mode."""
-
-
-@dataclass(frozen=True)
-class ColoringFamily:
-    t: int
-    mode: str
-    colorings: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class PartitionAssembly:
-    """Per-class split partitions plus the assembled global (C, I)."""
-
-    per_class: tuple[SplitPartition, ...]
-    clique: int
-    independent: int
 
 
 def default_color_count(k: int, mode: str = "exhaustive") -> int:
@@ -68,95 +59,31 @@ def default_trials(k: int, t: int) -> int:
     return max(1, math.ceil(math.log(0.01) / math.log(1.0 - p)))
 
 
-def build_coloring_family(n: int, k: int, t: Optional[int] = None,
-                          mode: str = "exhaustive", trials: Optional[int] = None,
-                          seed: int = 0) -> ColoringFamily:
-    """Exhaustive (all t^n colorings) or seeded-random coloring family."""
+def class_partitions(n: int, k: int, mode: str = "exhaustive",
+                     trials: Optional[int] = None,
+                     seed: int = 0) -> Iterator[tuple[int, ...]]:
+    """Distinct class partitions of 0..n-1 induced by the coloring family.
+
+    Each partition is a sorted tuple of non-empty class masks and comes out
+    once.  The family uses ``default_color_count(k, mode)`` colors t:
+    ``exhaustive`` covers all t^n colorings and raises
+    :class:`ColoringGuardError` when t^n exceeds ``EXHAUSTIVE_GUARD``;
+    ``randomized`` draws ``trials`` seeded uniform colorings (default
+    ``default_trials(k, t)``).  Mode, guard and trials are checked here,
+    before the first partition is drawn.
+    """
     if mode not in ("exhaustive", "randomized"):
         raise ValueError(f"bad mode {mode!r}")
-    if t is None:
-        t = default_color_count(k, mode)
+    t = default_color_count(k, mode)
     if mode == "exhaustive":
         if t ** n > EXHAUSTIVE_GUARD:
             raise ColoringGuardError(
                 f"{t}^{n} colorings exceed the exhaustive guard; "
                 "use randomized mode")
-        colorings = []
-        cur = [0] * n
-        while True:
-            colorings.append(tuple(cur))
-            i = n - 1
-            while i >= 0 and cur[i] == t - 1:
-                cur[i] = 0
-                i -= 1
-            if i < 0:
-                break
-            cur[i] += 1
-        if n == 0:
-            colorings = [()]
-        return ColoringFamily(t, mode, tuple(colorings))
-    if t < 2:
-        raise ValueError("randomized mode needs at least two colors")
+        return _set_partitions_upto(n, t)
     if trials is None:
         trials = default_trials(k, t)
-    rng = random.Random(seed)
-    colorings = tuple(tuple(rng.randrange(t) for _ in range(n))
-                      for _ in range(trials))
-    return ColoringFamily(t, mode, colorings)
-
-
-def _class_masks(coloring: tuple[int, ...]) -> tuple[int, ...]:
-    classes: dict[int, int] = {}
-    for v, c in enumerate(coloring):
-        classes[c] = classes.get(c, 0) | (1 << v)
-    return tuple(classes[c] for c in sorted(classes))
-
-
-def assemble_partitions(g: Graph, coloring: tuple[int, ...]) -> list[PartitionAssembly]:
-    """Cross product of per-class split partitions, filtered to independent I.
-
-    Returns [] when some color class does not induce a split graph.
-    """
-    masks = _class_masks(coloring)
-    per_class: list[list[SplitPartition]] = []
-    for mask in masks:
-        parts = split_partitions_within(g, mask)
-        if parts is None:
-            return []
-        per_class.append(parts)
-    out: list[PartitionAssembly] = []
-
-    def expand(i: int, chosen: list[SplitPartition], c_acc: int, i_acc: int) -> None:
-        if i == len(per_class):
-            out.append(PartitionAssembly(tuple(chosen), c_acc, i_acc))
-            return
-        for p in per_class[i]:
-            ni = i_acc | p.independent
-            if _has_internal_edge(g, ni):
-                continue
-            chosen.append(p)
-            expand(i + 1, chosen, c_acc | p.clique, ni)
-            chosen.pop()
-
-    expand(0, [], 0, 0)
-    return out
-
-
-def _has_internal_edge(g: Graph, mask: int) -> bool:
-    for v in bits(mask):
-        if g.adj[v] & mask:
-            return True
-    return False
-
-
-def _partition_keys(colorings: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """Deduplicate colorings that induce the same class partition."""
-    seen = set()
-    for coloring in colorings:
-        key = tuple(sorted(_class_masks(coloring)))
-        if key not in seen:
-            seen.add(key)
-            yield key
+    return _random_partitions(n, t, trials, seed)
 
 
 def _set_partitions_upto(n: int, t: int) -> Iterator[tuple[int, ...]]:
@@ -184,15 +111,69 @@ def _set_partitions_upto(n: int, t: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 1)
 
 
+def _random_partitions(n: int, t: int, trials: int,
+                       seed: int) -> Iterator[tuple[int, ...]]:
+    """Class partitions of ``trials`` seeded colorings, first draw only.
+
+    Coloring after coloring, vertex after vertex, each color is one
+    ``randrange(t)`` call, so a seed always gives the same sequence.
+    """
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(trials):
+        classes = [0] * t
+        for v in range(n):
+            classes[rng.randrange(t)] |= 1 << v
+        key = tuple(sorted(m for m in classes if m))
+        if key not in seen:
+            seen.add(key)
+            yield key
+
+
+def _clique_sides(g: Graph, per_class: list[list[SplitPartition]],
+                  budget: int) -> tuple[list[int], int]:
+    """Clique sides of the cross product of per-class split partitions.
+
+    A choice whose joint independent side has an edge is pruned at once.
+    Every step spends one unit of ``budget``; returns the clique sides and
+    the budget left, or raises :class:`ColoringGuardError` when it runs out.
+    """
+    sides: list[int] = []
+
+    def expand(i: int, c_acc: int, i_acc: int) -> None:
+        nonlocal budget
+        if budget <= 0:
+            raise ColoringGuardError("assembly cross product exceeded cap")
+        if i == len(per_class):
+            sides.append(c_acc)
+            return
+        for p in per_class[i]:
+            ni = i_acc | p.independent
+            if _has_internal_edge(g, ni):
+                continue
+            budget -= 1
+            expand(i + 1, c_acc | p.clique, ni)
+
+    expand(0, 0, 0)
+    return sides, budget
+
+
+def _has_internal_edge(g: Graph, mask: int) -> bool:
+    for v in bits(mask):
+        if g.adj[v] & mask:
+            return True
+    return False
+
+
 def threshold_complete(g: Graph, k: int, mode: str = "exhaustive",
-                       t: Optional[int] = None, trials: Optional[int] = None,
-                       seed: int = 0, assembly_cap: int = DEFAULT_ASSEMBLY_CAP,
+                       trials: Optional[int] = None, seed: int = 0,
                        stats: Optional[dict] = None) -> Optional[CompletionSet]:
     """Minimum threshold completion of size <= k found through the colorings.
 
     Exact in exhaustive mode; in randomized mode exact when lucky (the
     ``exact`` stats flag records which guarantee applies).  Additions go
-    inside C and from I to C only.
+    inside C and from I to C only.  The cross product over all class
+    partitions is capped at ``ASSEMBLY_CAP`` steps.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
@@ -204,94 +185,61 @@ def threshold_complete(g: Graph, k: int, mode: str = "exhaustive",
         if stats is not None:
             stats["elapsed"] = time.perf_counter() - t0
         return CompletionSet((), "addition")
-    if mode == "exhaustive":
-        tt = t if t is not None else default_color_count(k, mode)
-        if tt ** g.n > EXHAUSTIVE_GUARD:
-            raise ColoringGuardError(
-                f"{tt}^{g.n} colorings exceed the exhaustive guard; "
-                "use randomized mode")
-        keys = _set_partitions_upto(g.n, tt)
-    else:
-        family = build_coloring_family(g.n, k, t, mode, trials, seed)
-        keys = _partition_keys(family.colorings)
-    best: Optional[tuple[int, CompletionSet]] = None
-    seen_pairs: set[int] = set()
+    partitions = class_partitions(g.n, k, mode, trials, seed)
+    best: Optional[CompletionSet] = None
+    seen_cliques: set[int] = set()
     split_cache: dict[int, Optional[list[SplitPartition]]] = {}
-    budget_left = assembly_cap
-    for class_masks in keys:
+    budget_left = ASSEMBLY_CAP
+    for class_masks in partitions:
         if stats is not None:
             stats["colorings"] += 1
         per_class = []
-        ok = True
         for mask in class_masks:
             parts = split_cache.get(mask, False)
             if parts is False:
                 parts = split_partitions_within(g, mask)
                 split_cache[mask] = parts
             if parts is None:
-                ok = False
                 break
             per_class.append(parts)
-        if not ok:
+        if len(per_class) < len(class_masks):
             continue
-        budget_left -= 1
-        assembled: list[int] = []
-
-        # Cross product with early pruning on the independent side.
-        def expand(i: int, c_acc: int, i_acc: int) -> None:
-            nonlocal budget_left
-            if budget_left <= 0:
-                raise ColoringGuardError("assembly cross product exceeded cap")
-            if i == len(per_class):
-                assembled.append(c_acc)
-                return
-            for p in per_class[i]:
-                ni = i_acc | p.independent
-                if _has_internal_edge(g, ni):
-                    continue
-                budget_left -= 1
-                expand(i + 1, c_acc | p.clique, ni)
-
-        expand(0, 0, 0)
-        for c_mask in assembled:
+        sides, budget_left = _clique_sides(g, per_class, budget_left - 1)
+        for c_mask in sides:
             if stats is not None:
                 stats["assemblies"] += 1
-            if c_mask in seen_pairs:
+            if c_mask in seen_cliques:
                 continue
-            seen_pairs.add(c_mask)
-            i_mask = g.vertices & ~c_mask
+            seen_cliques.add(c_mask)
             clique_cost = non_edges_within(g, c_mask)
-            cap = k if best is None else best[0] - 1
+            cap = k if best is None else best.size - 1
             if clique_cost > cap:
                 continue
             if stats is not None:
                 stats["pairs_tested"] += 1
+            i_mask = g.vertices & ~c_mask
             chain = exact_chain_completion(i_mask, c_mask,
                                            _cross_subgraph(g, i_mask, c_mask),
                                            cap - clique_cost)
             if chain is None:
                 continue
-            pairs = list(chain.pairs)
-            for u, v in _missing_within(g, c_mask):
-                pairs.append((u, v))
-            cand = CompletionSet(tuple(pairs), "addition")
-            assert cand.size == clique_cost + chain.size
-            if best is None or cand.size < best[0]:
-                best = (cand.size, cand)
-                if stats is not None:
-                    stats["best_trace"].append(cand.size)
-                if cand.size == 0:
-                    break
-    if best is None:
-        if stats is not None:
-            stats["elapsed"] = time.perf_counter() - t0
-        return None
-    result = best[1]
-    assert result.size <= k
-    assert is_threshold(result.apply(g))
+            best = CompletionSet(chain.pairs + tuple(_missing_within(g, c_mask)),
+                                 "addition")
+            if best.size != clique_cost + chain.size:
+                raise CertificationError(
+                    f"candidate has {best.size} pairs, expected {clique_cost} "
+                    f"inside C plus {chain.size} from I to C")
+            if stats is not None:
+                stats["best_trace"].append(best.size)
+    if best is not None:
+        if best.size > k:
+            raise CertificationError(
+                f"threshold answer has {best.size} pairs, budget {k}")
+        if not is_threshold(best.apply(g)):
+            raise CertificationError("threshold answer is not threshold")
     if stats is not None:
         stats["elapsed"] = time.perf_counter() - t0
-    return result
+    return best
 
 
 def _cross_subgraph(g: Graph, i_mask: int, c_mask: int) -> Graph:

@@ -20,12 +20,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .graph import (
+    CertificationError,
     CompletionSet,
     Graph,
     bits,
     components,
     edges_between,
     non_edges_within,
+    union_neighborhoods,
 )
 from .recognition import is_trivially_perfect
 
@@ -95,13 +97,6 @@ def _subsets_upto(universe: int, max_size: int) -> list[int]:
     return out
 
 
-def _union_adj(g: Graph, mask: int) -> int:
-    out = 0
-    for v in bits(mask):
-        out |= g.adj[v]
-    return out
-
-
 def enumerate_type1(g: Graph, k: int) -> CandidateFamily:
     """All W with |V \\ W| <= 2 ceil(sqrt(k))."""
     _, s2 = sqrt_budgets(k)
@@ -161,7 +156,7 @@ def _nw1_values(g: Graph, forbidden: int, s2: int, cache: dict) -> list[int]:
     if got is None:
         vals = set()
         for w1 in _subsets_upto(g.vertices & ~forbidden, s2):
-            vals.add(_union_adj(g, w1) & ~w1)
+            vals.add(union_neighborhoods(g, w1) & ~w1)
         got = sorted(vals)
         cache[forbidden] = got
     return got
@@ -180,7 +175,7 @@ def enumerate_type3(g: Graph, k: int, work_cap: Optional[int] = DEFAULT_WORK_CAP
     fam = CandidateFamily(g.n)
     nw1_cache: dict[int, list[int]] = {}
     for w2, w3 in _disjoint_w23(g, s2):
-        un2 = _union_adj(g, w2)
+        un2 = union_neighborhoods(g, w2)
         n2 = un2 & ~w2
         nn2 = un2 | w2
         parts = set()
@@ -188,7 +183,7 @@ def enumerate_type3(g: Graph, k: int, work_cap: Optional[int] = DEFAULT_WORK_CAP
         for nv in nvs:
             t = nn2 & ~nv
             u = w3 | t
-            parts.add(n2 | (_union_adj(g, u) & ~u) | w3)
+            parts.add(n2 | (union_neighborhoods(g, u) & ~u) | w3)
         n1s = _nw1_values(g, w2 | w3, s2, nw1_cache)
         meter.spend(len(parts) * len(n1s))
         for part in parts:
@@ -212,14 +207,14 @@ def enumerate_type4(g: Graph, k: int, work_cap: Optional[int] = DEFAULT_WORK_CAP
     fam = CandidateFamily(g.n)
     nw1_cache: dict[int, list[int]] = {}
     for w2, w3 in _disjoint_w23(g, s2):
-        un2 = _union_adj(g, w2)
+        un2 = union_neighborhoods(g, w2)
         n2 = un2 & ~w2
         nn2 = un2 | w2
         parts = set()
         for nv1 in nvs:
             t = nn2 & ~nv1
             u = w3 | t
-            mid = n2 | (_union_adj(g, u) & ~u) | w3
+            mid = n2 | (union_neighborhoods(g, u) & ~u) | w3
             ps = inter[nv1]
             meter.spend(len(ps))
             for p in ps:
@@ -435,7 +430,9 @@ def dp_solve(blocks: BlockFamily, g: Graph, k: int) -> Optional[DpSolution]:
                 pairs.append((u, v) if u < v else (v, u))
         stack.extend(choice[(x, y)])
     completion = CompletionSet(tuple(pairs), "addition")
-    assert completion.size == total
+    if completion.size != total:
+        raise CertificationError(
+            f"retraced completion has {completion.size} pairs, DP value {total}")
     return DpSolution(total, table, completion)
 
 
@@ -512,7 +509,8 @@ def tp_complete(g: Graph, k: int, work_cap: Optional[int] = DEFAULT_WORK_CAP,
             return None
         all_pairs.extend((ids[u], ids[v]) for u, v in sol.completion.pairs)
     result = CompletionSet(tuple(all_pairs), "addition")
-    assert is_trivially_perfect(result.apply(g))
+    if not is_trivially_perfect(result.apply(g)):
+        raise CertificationError("tp_complete answer is not trivially perfect")
     if stats is not None:
         stats["value"] = total
         stats["elapsed"] = time.perf_counter() - t0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fcomplete import pseudosplit
 from fcomplete.graph import Graph, Pattern, bits, edges_within, mask_of
 from fcomplete.oracles import exact_completion
 from fcomplete.pseudosplit import (
@@ -83,6 +84,25 @@ def test_matches_oracle_small():
         k = rng.randrange(0, 5)
         assert opt_size(pseudosplit_complete(g, k)) == \
             opt_size(exact_completion(g, PSEUDO, k))
+
+
+def test_no_augmented_instance_with_negative_budget(monkeypatch):
+    built = []
+
+    def recording_build(g, k, x_mask):
+        aug = build_augmented_instance(g, k, x_mask)
+        built.append(aug.budget)
+        return aug
+
+    monkeypatch.setattr(pseudosplit, "build_augmented_instance", recording_build)
+    # 2K2 plus an isolated vertex: its only seed misses 3 of the C5 edges
+    two_k2_k1 = Graph.from_edges(5, [(0, 1), (2, 3)])
+    assert pseudosplit_complete(two_k2_k1, 3).size == 1
+    rng = random.Random(101)
+    for _ in range(30):
+        g = random_graph(rng, 7, 0.3)
+        pseudosplit_complete(g, 3)
+    assert built and min(built) >= 0
 
 
 def _check_augmented_structure(g, aug, pairs):

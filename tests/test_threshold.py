@@ -1,14 +1,18 @@
+import itertools
 import random
 
 import pytest
 
-from fcomplete.graph import Graph, Pattern, bits
+from fcomplete import threshold_subexp
+from fcomplete.cli import main
+from fcomplete.graph import CertificationError, Graph, Pattern, bits
 from fcomplete.oracles import exact_completion
-from fcomplete.recognition import is_threshold
+from fcomplete.recognition import is_threshold, split_partitions_within
 from fcomplete.threshold_subexp import (
     ColoringGuardError,
-    assemble_partitions,
-    build_coloring_family,
+    _clique_sides,
+    class_partitions,
+    default_color_count,
     default_trials,
     threshold_complete,
 )
@@ -24,34 +28,66 @@ from conftest import (
 THRESHOLD = (Pattern.TWO_K2, Pattern.C4, Pattern.P4)
 
 
+def _reference_partitions(colorings):
+    """Distinct class partitions of the given colorings, first seen first."""
+    out = {}
+    for coloring in colorings:
+        classes = {}
+        for v, c in enumerate(coloring):
+            classes[c] = classes.get(c, 0) | (1 << v)
+        out.setdefault(tuple(sorted(classes.values())), None)
+    return list(out)
+
+
 def test_family_exhaustive_counts():
-    fam = build_coloring_family(3, 1, t=2, mode="exhaustive")
-    assert fam.t == 2 and len(fam.colorings) == 8
-    assert len(set(fam.colorings)) == 8
+    # k=1 gives t=2: partitions of 3 vertices into at most 2 classes
+    assert len(list(class_partitions(3, 1))) == 4
+    # k=2 gives t=4: all Bell(4) = 15 partitions of 4 vertices
+    assert len(list(class_partitions(4, 2))) == 15
+    assert list(class_partitions(0, 2)) == [()]
+
+
+def test_exhaustive_stream_is_each_coloring_partition_once():
+    for k, t in ((0, 1), (1, 2), (2, 4)):
+        assert default_color_count(k) == t
+        for n in range(7):
+            got = list(class_partitions(n, k))
+            assert len(got) == len(set(got))
+            expect = _reference_partitions(
+                itertools.product(range(t), repeat=n))
+            assert set(got) == set(expect), (n, t)
 
 
 def test_family_universal_property_small():
     # any single-edge graph is properly colored by some member
-    fam = build_coloring_family(4, 1, t=2, mode="exhaustive")
+    parts = list(class_partitions(4, 1))
     for u in range(4):
         for v in range(u + 1, 4):
-            assert any(c[u] != c[v] for c in fam.colorings)
+            assert any(not any((m >> u) & (m >> v) & 1 for m in p)
+                       for p in parts)
 
 
 def test_family_randomized_reproducible():
-    a = build_coloring_family(5, 2, mode="randomized", trials=40, seed=9)
-    b = build_coloring_family(5, 2, mode="randomized", trials=40, seed=9)
-    c = build_coloring_family(5, 2, mode="randomized", trials=40, seed=10)
-    assert a.colorings == b.colorings
-    assert len(a.colorings) == 40
-    assert a.colorings != c.colorings
+    a = list(class_partitions(5, 2, mode="randomized", trials=40, seed=9))
+    b = list(class_partitions(5, 2, mode="randomized", trials=40, seed=9))
+    c = list(class_partitions(5, 2, mode="randomized", trials=40, seed=10))
+    assert a == b
+    assert a != c
+    # one randrange(t) per vertex per coloring, in order, first draw kept
+    rng = random.Random(9)
+    t = default_color_count(2, "randomized")
+    drawn = [tuple(rng.randrange(t) for _ in range(5)) for _ in range(40)]
+    assert a == _reference_partitions(drawn)
 
 
 def test_family_guard():
     with pytest.raises(ColoringGuardError):
-        build_coloring_family(30, 4, t=4, mode="exhaustive")
+        class_partitions(30, 4)
     with pytest.raises(ValueError):
-        build_coloring_family(5, 2, t=1, mode="randomized")
+        class_partitions(5, 2, mode="bogus")
+    two_k2 = Graph.from_edges(10, [(0, 1), (2, 3)])
+    with pytest.raises(ColoringGuardError):
+        threshold_complete(two_k2, 2)
 
 
 def test_default_trials_bound():
@@ -63,20 +99,28 @@ def test_default_trials_bound():
 
 def test_assemble_monochromatic_k2():
     k2 = Graph.from_edges(2, [(0, 1)])
-    got = assemble_partitions(k2, (0, 0))
-    assert len(got) == 3
-    assert {(a.clique, a.independent) for a in got} == {(3, 0), (1, 2), (2, 1)}
+    per_class = [split_partitions_within(k2, 3)]
+    sides, left = _clique_sides(k2, per_class, 4)
+    assert sorted(sides) == [1, 2, 3] and left == 1
+    with pytest.raises(ColoringGuardError):
+        _clique_sides(k2, per_class, 3)
 
 
 def test_assemble_singleton_classes():
     k2 = Graph.from_edges(2, [(0, 1)])
-    got = assemble_partitions(k2, (0, 1))
-    assert {(a.clique, a.independent) for a in got} == {(3, 0), (1, 2), (2, 1)}
+    per_class = [split_partitions_within(k2, 1), split_partitions_within(k2, 2)]
+    # both vertices on the independent side is pruned: they are adjacent
+    sides, _ = _clique_sides(k2, per_class, 100)
+    assert sorted(sides) == [1, 2, 3]
 
 
 def test_assemble_skips_non_split_class():
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert assemble_partitions(c4, (0, 0, 0, 0)) == []
+    assert split_partitions_within(c4, c4.vertices) is None
+    # k=0 gives one color: the single class is not split, nothing assembles
+    stats = {}
+    assert threshold_complete(c4, 0, stats=stats) is None
+    assert stats["colorings"] == 1 and stats["assemblies"] == 0
 
 
 def test_threshold_complete_examples():
@@ -124,3 +168,16 @@ def test_stats_and_chain_edges_direction():
     assert stats["colorings"] >= 1 and stats["assemblies"] >= 1
     h = sol.apply(two_k2)
     assert is_threshold(h)
+
+
+def test_failed_certification_is_raised_not_swallowed(monkeypatch, tmp_path):
+    monkeypatch.setattr(threshold_subexp, "is_threshold", lambda h: False)
+    two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(CertificationError) as info:
+        threshold_complete(two_k2, 2)
+    assert not isinstance(info.value, ValueError)
+    # the CLI falls back to branching on ValueError only
+    p = tmp_path / "two_k2.graph"
+    p.write_text("4 2\n0 1\n2 3\n")
+    with pytest.raises(CertificationError):
+        main(["solve", str(p), "--problem", "threshold", "--k", "2"])
