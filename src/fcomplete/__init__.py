@@ -13,6 +13,7 @@ from .graph import (
     is_f_free,
     missing_edges_between,
     non_edges_within,
+    occurrence_masks,
     parse_graph,
 )
 from .oracles import (

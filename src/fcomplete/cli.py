@@ -110,7 +110,7 @@ def run_solve(args) -> int:
     algo = args.algo
     solution: Optional[CompletionSet]
     if problem == "ffree" or algo == "branch" or problem == "split":
-        solution = exact_completion(g, patterns, k)
+        solution = exact_completion(g, patterns, k, stats=stats)
     elif problem == "tp":
         cap = args.family_cap
         if algo == "subexp":
@@ -130,7 +130,9 @@ def run_solve(args) -> int:
             if algo == "auto":
                 print(f"warning: {exc}; falling back to branching",
                       file=sys.stderr)
-                solution = exact_completion(g, patterns, k)
+                if stats is not None:
+                    stats.clear()
+                solution = exact_completion(g, patterns, k, stats=stats)
             else:
                 raise CliError(str(exc))
     elif problem == "pseudosplit":

@@ -8,7 +8,9 @@ of the solvers cheap.  Graphs are immutable; edits produce derived graphs.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -264,14 +266,121 @@ def occurrences(g: Graph, pattern: Pattern) -> Iterator[tuple[int, ...]]:
                 cand &= gadj[chosen[j]]
             else:
                 cand &= ~gadj[chosen[j]]
-        for v in bits(cand):
-            chosen[i] = v
+        while cand:
+            low = cand & -cand
+            chosen[i] = low.bit_length() - 1
             if i + 1 == r:
                 yield tuple(chosen)
             else:
-                yield from extend(i + 1, used | (1 << v))
+                yield from extend(i + 1, used | low)
+            cand ^= low
 
     yield from extend(0, 0)
+
+
+def _symmetry_conditions(pattern: Pattern) -> tuple[tuple[int, int], ...]:
+    """Role pairs ``(a, b)`` such that ``chosen[a] < chosen[b]`` keeps exactly
+    one role tuple per occurrence: the lexicographically smallest one.
+
+    Orbit-stabilizer chain of the pattern's automorphism group (Grochow and
+    Kellis, RECOMB 2007): the first role with a non-trivial orbit gets the
+    smallest vertex of its orbit, then the same runs in its stabilizer.
+    """
+    r = _PATTERN_ORDER[pattern]
+    rows = _PATTERN_ADJ[pattern]
+    group = [s for s in permutations(range(r))
+             if all(rows[s[i]] >> s[j] & 1 == rows[i] >> j & 1
+                    for i in range(r) for j in range(r))]
+    conds = []
+    for role in range(r):
+        orbit = sorted({s[role] for s in group})
+        conds.extend((role, other) for other in orbit if other != role)
+        group = [s for s in group if s[role] == role]
+    return tuple(conds)
+
+
+_SYMMETRY = {p: _symmetry_conditions(p) for p in Pattern}
+
+
+def _placement_plan(pattern: Pattern, order: Sequence[int]) -> tuple:
+    """For each role in placement ``order``: the roles placed before it that
+    it must be adjacent / non-adjacent to, and those it must lie above /
+    below (from the symmetry conditions)."""
+    padj = _PATTERN_ADJ[pattern]
+    steps = []
+    for t, role in enumerate(order):
+        before = order[:t]
+        steps.append((tuple(e for e in before if padj[role] >> e & 1),
+                      tuple(e for e in before if not padj[role] >> e & 1),
+                      tuple(a for a, b in _SYMMETRY[pattern] if b == role and a in before),
+                      tuple(b for a, b in _SYMMETRY[pattern] if a == role and b in before)))
+    return tuple(order), tuple(steps)
+
+
+_FULL_PLANS = {p: _placement_plan(p, range(p.order)) for p in Pattern}
+
+
+@functools.cache
+def _anchor_plans(p: Pattern, adjacent: bool, ordered: bool) -> tuple:
+    """Plans where the anchor pair (u, v) takes roles (i, j), placed first:
+    an edge role if ``adjacent``, else a non-edge role, leaving out the
+    placements whose symmetry condition between i and j the pair breaks
+    (``ordered`` is u < v)."""
+    return tuple(
+        _placement_plan(p, (i, j) + tuple(x for x in range(p.order) if x not in (i, j)))
+        for i in range(p.order) for j in range(p.order)
+        if i != j and bool(_PATTERN_ADJ[p][i] >> j & 1) == adjacent
+        and ((j, i) if ordered else (i, j)) not in _SYMMETRY[p])
+
+
+def _place(gadj, plan, pins, out: list) -> None:
+    order, steps = plan
+    r = len(order)
+    chosen = [0] * r
+
+    def extend(t: int, mask: int) -> None:
+        adj_to, apart_from, above, below = steps[t]
+        cand = pins[t] & ~mask
+        for e in adj_to:
+            cand &= gadj[chosen[e]]
+        for e in apart_from:
+            cand &= ~gadj[chosen[e]]
+        for a in above:
+            cand &= -(2 << chosen[a])
+        for b in below:
+            cand &= (1 << chosen[b]) - 1
+        role = order[t]
+        while cand:
+            low = cand & -cand
+            chosen[role] = low.bit_length() - 1
+            if t + 1 == r:
+                out.append(mask | low)
+            else:
+                extend(t + 1, mask | low)
+            cand ^= low
+
+    extend(0, 0)
+
+
+def occurrence_masks(g: Graph, pattern: Pattern,
+                     anchor: Optional[tuple[int, int]] = None) -> list[int]:
+    """Vertex sets (masks) that induce ``pattern``, each set once.
+
+    In the order of their first role tuple in :func:`occurrences`.  With
+    ``anchor=(u, v)`` only the sets holding both ``u`` and ``v``: the pair sits
+    on an edge role of the pattern if uv is an edge of g, else on a non-edge
+    role, and the other roles are extended around it.
+    """
+    out: list[int] = []
+    full = g.vertices
+    if anchor is None:
+        _place(g.adj, _FULL_PLANS[pattern], (full,) * pattern.order, out)
+        return out
+    u, v = anchor
+    pins = (1 << u, 1 << v) + (full,) * (pattern.order - 2)
+    for plan in _anchor_plans(pattern, g.has_edge(u, v), u < v):
+        _place(g.adj, plan, pins, out)
+    return out
 
 
 def find_induced(g: Graph, pattern: Pattern) -> Optional[tuple[int, ...]]:

@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -22,6 +23,7 @@ from .graph import (
     Pattern,
     bits,
     is_f_free,
+    occurrence_masks,
     occurrences,
 )
 
@@ -36,68 +38,185 @@ def _sorted_patterns(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
     return tuple(sorted(set(patterns), key=lambda p: (p.order, p.value)))
 
 
-def _branch_pairs(pattern: Pattern, occ: tuple[int, ...], mode: str):
-    """Vertex pairs whose edit destroys this occurrence."""
-    roles = pattern.non_edges if mode == "addition" else pattern.edges
-    out = []
-    for i, j in roles:
-        u, v = occ[i], occ[j]
-        out.append((u, v) if u < v else (v, u))
-    out.sort()
-    return out
+def _truncated_packing(g: Graph, patterns, mode: str,
+                       stop_above: int) -> Optional[int]:
+    """Cheap lower bound on the edit distance, or None when g is F-free.
 
-
-def _pack_obstructions(g: Graph, patterns, mode: str, stop_above: int):
-    """Greedy packing of obstructions with disjoint branch-pair sets.
-
-    Returns ``(branch_pairs, count)``: the canonical obstruction's branch
-    pairs ordered most-frequently-hit first (ties lexicographic), or None
-    when g is F-free, plus a packing count.  Every solution must edit at
-    least one pair of each packed obstruction, so ``count`` lower-bounds the
-    remaining edit distance.  Packing stops once it exceeds ``stop_above``.
+    Greedy packing of obstructions with disjoint branch-pair sets over the
+    first ``40 + 8 * stop_above`` role tuples only; stops once it exceeds
+    ``stop_above``.
     """
-    first = None
     used: set[tuple[int, int]] = set()
-    freq: dict[tuple[int, int], int] = {}
     count = 0
     visits = 40 + 8 * stop_above
     for pattern in patterns:
+        roles = pattern.non_edges if mode == "addition" else pattern.edges
         for occ in occurrences(g, pattern):
-            pairs = _branch_pairs(pattern, occ, mode)
-            if first is None:
-                first = pairs
-                for p in pairs:
-                    freq[p] = 0
-            for p in pairs:
-                if p in freq:
-                    freq[p] += 1
+            pairs = [(occ[i], occ[j]) if occ[i] < occ[j] else (occ[j], occ[i])
+                     for i, j in roles]
             visits -= 1
             if not any(p in used for p in pairs):
                 used.update(pairs)
                 count += 1
                 if count > stop_above:
-                    visits = 0
+                    return count
             if visits <= 0:
-                break
-        if visits <= 0 and first is not None:
-            break
-    if first is not None:
-        first = sorted(first, key=lambda p: (-freq[p], p))
-    return first, count
+                return count
+    return count if used else None
 
 
-def _pair_bit(n: int, u: int, v: int) -> int:
-    return 1 << (u * n + v)
+class _Search:
+    """Cai's bounded search tree over an incrementally updated obstruction index.
+
+    The index of a graph holds every vertex set that induces a pattern of F,
+    once, mapped to its branch pairs (the non-edges inside it in addition
+    mode, the edges in deletion mode) as a bitmask with bit ``u * n + v`` for
+    the pair ``u < v``.  It is split into slots by branch-pair count, fewest
+    first.  An edit of ``uv`` changes only the sets holding both ``u`` and
+    ``v``: those are dropped and the ones that induce a pattern after the
+    edit are found again by an enumeration anchored at ``uv``.  The search
+    updates one index in place on the way down and undoes each update on
+    the way back.
+    """
+
+    def __init__(self, n: int, patterns: tuple[Pattern, ...], mode: str):
+        self.n = n
+        self.patterns = patterns
+        self.mode = mode
+        width = {p: len(p.non_edges if mode == "addition" else p.edges)
+                 for p in patterns}
+        counts = sorted(set(width.values()))
+        self.slot = {p: counts.index(width[p]) for p in patterns}
+        self.slots = len(counts)
+        self.nodes = 0
+        self.prunes = 0
+
+    def _pairs(self, g: Graph, mask: int) -> int:
+        n = self.n
+        out = 0
+        for u in bits(mask):
+            above = mask >> (u + 1) << (u + 1)
+            inside = above & ~g.adj[u] if self.mode == "addition" else above & g.adj[u]
+            for v in bits(inside):
+                out |= 1 << (u * n + v)
+        return out
+
+    def index(self, g: Graph) -> list[dict[int, int]]:
+        index = [{} for _ in range(self.slots)]
+        for p in self.patterns:
+            slot = index[self.slot[p]]
+            for mask in occurrence_masks(g, p):
+                slot[mask] = self._pairs(g, mask)
+        return index
+
+    def edit(self, index, g: Graph, u: int, v: int):
+        """Update ``index`` in place to ``g``, just edited at ``uv``; returns
+        what :meth:`undo` needs to restore it."""
+        uv = (1 << u) | (1 << v)
+        dropped = []
+        for slot in index:
+            gone = [m for m in slot if m & uv == uv]
+            dropped.append([(m, slot.pop(m)) for m in gone])
+        added = []
+        for p in self.patterns:
+            slot = index[self.slot[p]]
+            for mask in occurrence_masks(g, p, (u, v)):
+                slot[mask] = self._pairs(g, mask)
+                added.append((slot, mask))
+        return dropped, added
+
+    def undo(self, index, record) -> None:
+        dropped, added = record
+        for slot, mask in added:
+            del slot[mask]
+        for slot, gone in zip(index, dropped):
+            slot.update(gone)
+
+    def bound(self, index, rem: int):
+        """``(branch_pairs, lower)`` at a search node.
+
+        ``lower`` counts a greedy packing of indexed sets with disjoint branch
+        pairs, fewest pairs first, stopped once it exceeds ``rem``; every
+        solution edits a pair of each packed set.  ``branch_pairs`` are those
+        of the set with fewest pairs (ties: smallest mask), most often hit
+        across the index first (ties lexicographic), or None when the index is
+        empty, i.e. the graph is F-free.
+        """
+        used = 0
+        lower = 0
+        for slot in index:
+            for pm in slot.values():
+                if not pm & used:
+                    used |= pm
+                    lower += 1
+                    if lower > rem:
+                        return (), lower
+        if not lower:
+            return None, 0
+        slot = next(s for s in index if s)
+        chosen = slot[min(slot)]
+        hits = []
+        for b in bits(chosen):
+            bit = 1 << b
+            hits.append((-sum(1 for s in index for pm in s.values() if pm & bit),
+                         divmod(b, self.n)))
+        hits.sort()
+        return [pair for _, pair in hits], lower
+
+    def solutions(self, g: Graph, index, budget: int, first_only: bool):
+        """Edit lists that make g F-free, found by branching within ``budget``.
+
+        A per-call ``seen`` set of edit keys (pair-bit masks) visits each edit
+        set once.  With ``first_only`` the search stops at the first one.
+        """
+        found: list[tuple[tuple[int, int], ...]] = []
+        seen: set[int] = set()
+        n = self.n
+        apply = Graph.add_edges if self.mode == "addition" else Graph.remove_edges
+
+        def dfs(cur: Graph, rem: int, key: int, acc) -> bool:
+            pairs, lower = self.bound(index, rem)
+            if pairs is None:
+                found.append(acc)
+                return first_only
+            if lower > rem:
+                self.prunes += 1
+                return False
+            for u, v in pairs:
+                nkey = key | 1 << (u * n + v)
+                if nkey in seen:
+                    continue
+                seen.add(nkey)
+                nxt = apply(cur, [(u, v)])
+                self.nodes += 1
+                record = self.edit(index, nxt, u, v)
+                done = dfs(nxt, rem - 1, nkey, acc + ((u, v),))
+                self.undo(index, record)
+                if done:
+                    return True
+            return False
+
+        dfs(g, budget, 0, ())
+        return found
 
 
 def exact_completion(g: Graph, patterns: Iterable[Pattern], k: int,
-                     mode: str = "addition") -> Optional[CompletionSet]:
+                     mode: str = "addition",
+                     stats: Optional[dict] = None) -> Optional[CompletionSet]:
     """Minimum edit set of size <= k making g F-free, or None.
 
     Iterative deepening over the budget guarantees the first success is a
-    minimum.  Branching always follows the canonical (lexicographically
-    smallest) obstruction, so search trees are reproducible.
+    minimum.  Each level first tries the truncated packing at the root
+    (:func:`_truncated_packing`); only when that neither finds g F-free nor
+    refutes the level is the obstruction index built (once per call) and the
+    search run on it.  Branching is deterministic, so search trees are
+    reproducible.  ``stats`` (optional dict) receives ``nodes`` (roots plus
+    edited graphs), ``prunes`` (packing-bound cut-offs), ``budgets`` (levels
+    run), ``index_sets`` (root obstruction sets, 0 if no index was built) and
+    ``elapsed``.  The answer is certified before it is returned.
     """
+    if mode not in ("addition", "deletion"):
+        raise ValueError(f"bad mode {mode!r}")
     pats = _sorted_patterns(patterns)
     if not pats:
         raise ValueError("obstruction family must be non-empty")
@@ -108,31 +227,41 @@ def exact_completion(g: Graph, patterns: Iterable[Pattern], k: int,
             raise ValueError(f"pattern {p.value} has no edges")
     if k < 0:
         raise ValueError("budget must be non-negative")
-    n = g.n
-
-    def dfs(cur: Graph, rem: int, key: int, seen: set[int]):
-        pairs, lower = _pack_obstructions(cur, pats, mode, rem)
-        if pairs is None:
-            return []
-        if lower > rem:
-            return None
-        for u, v in pairs:
-            bit = _pair_bit(n, u, v)
-            nkey = key | bit
-            if nkey in seen:
-                continue
-            seen.add(nkey)
-            nxt = cur.add_edges([(u, v)]) if mode == "addition" else cur.remove_edges([(u, v)])
-            sub = dfs(nxt, rem - 1, nkey, seen)
-            if sub is not None:
-                return [(u, v)] + sub
-        return None
-
+    t0 = time.perf_counter()
+    search = _Search(g.n, pats, mode)
+    index = None
+    found = None
+    budgets = 0
     for budget in range(k + 1):
-        res = dfs(g, budget, 0, set())
-        if res is not None:
-            return CompletionSet(tuple(res), mode)
-    return None
+        budgets += 1
+        search.nodes += 1
+        if index is None:
+            lower = _truncated_packing(g, pats, mode, budget)
+            if lower is None:
+                found = ()
+                break
+            if lower > budget:
+                search.prunes += 1
+                continue
+            index = search.index(g)
+        hits = search.solutions(g, index, budget, first_only=True)
+        if hits:
+            found = hits[0]
+            break
+    result = None if found is None else CompletionSet(found, mode)
+    if result is not None:
+        try:
+            result.validate_against(g)
+        except ValueError as exc:
+            raise CertificationError(f"oracle answer: {exc}") from exc
+        if not is_f_free(result.apply(g), pats):
+            raise CertificationError("oracle answer leaves an obstruction")
+    if stats is not None:
+        stats.update({"nodes": search.nodes, "prunes": search.prunes,
+                      "budgets": budgets,
+                      "index_sets": 0 if index is None else sum(map(len, index)),
+                      "elapsed": time.perf_counter() - t0})
+    return result
 
 
 def minimal_solutions_within(g: Graph, patterns: Iterable[Pattern], k: int,
@@ -140,35 +269,15 @@ def minimal_solutions_within(g: Graph, patterns: Iterable[Pattern], k: int,
     """All inclusion-minimal edit sets of size <= k, via complete branching.
 
     Unlike :func:`enumerate_minimal_completions` this does not scan subsets,
-    so it handles larger graphs (gadget-scale) as long as k stays small.
+    so it handles larger graphs (gadget-scale) as long as k stays small.  It
+    runs the same search as :func:`exact_completion`, without stopping at
+    the first solution.
     """
-    pats = _sorted_patterns(patterns)
-    n = g.n
-    found: set[tuple[tuple[int, int], ...]] = set()
-    seen: set[int] = set()
-
-    def dfs(cur: Graph, rem: int, key: int, acc: tuple[tuple[int, int], ...]):
-        pairs, lower = _pack_obstructions(cur, pats, mode, rem)
-        if pairs is None:
-            found.add(tuple(sorted(acc)))
-            return
-        if lower > rem:
-            return
-        for u, v in pairs:
-            bit = _pair_bit(n, u, v)
-            nkey = key | bit
-            if nkey in seen:
-                continue
-            seen.add(nkey)
-            nxt = cur.add_edges([(u, v)]) if mode == "addition" else cur.remove_edges([(u, v)])
-            dfs(nxt, rem - 1, nkey, acc + ((u, v),))
-
-    dfs(g, k, 0, ())
-    minimal = []
-    sets = [frozenset(s) for s in found]
-    for i, s in enumerate(sets):
-        if not any(o < s for o in sets):
-            minimal.append(CompletionSet(tuple(sets[i]), mode))
+    search = _Search(g.n, _sorted_patterns(patterns), mode)
+    found = search.solutions(g, search.index(g), k, first_only=False)
+    sets = {frozenset(acc) for acc in found}
+    minimal = [CompletionSet(tuple(s), mode) for s in sets
+               if not any(o < s for o in sets)]
     return sorted(minimal, key=lambda c: (c.size, c.pairs))
 
 

@@ -16,8 +16,7 @@ from .graph import (
     bits,
     components,
     find_induced,
-    mask_of,
-    occurrences,
+    occurrence_masks,
 )
 
 
@@ -225,11 +224,6 @@ def is_chain(a_side: int, b_side: int, g: Graph) -> bool:
     return _nested(g, a_side)
 
 
-def _c5_masks(g: Graph) -> list[int]:
-    """Vertex sets inducing a C5, once each, in order of first occurrence."""
-    return list(dict.fromkeys(mask_of(occ) for occ in occurrences(g, Pattern.C5)))
-
-
 def is_pseudosplit(g: Graph) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Pseudosplit test with a witness partition (C, I, X) as masks.
 
@@ -241,7 +235,7 @@ def is_pseudosplit(g: Graph) -> tuple[bool, Optional[tuple[int, int, int]]]:
         p = parts[0]
         return True, (p.clique, p.independent, 0)
     full = g.vertices
-    for x in _c5_masks(g):
+    for x in occurrence_masks(g, Pattern.C5):
         rest = full & ~x
         sub_parts = split_partitions_within(g, rest)
         if sub_parts is None:

@@ -69,6 +69,28 @@ def test_solve_stats_flag(c4_file, capsys):
     assert "family=" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--problem", "split", "--k", "1"],
+    ["--problem", "ffree:C4", "--k", "1"],
+    ["--problem", "tp", "--k", "1", "--algo", "branch"],
+])
+def test_solve_stats_from_oracle(c4_file, capsys, argv):
+    assert main(["solve", c4_file, *argv, "--stats"]) == 0
+    err = capsys.readouterr().err
+    for key in ("nodes=", "prunes=", "budgets=", "index_sets=", "elapsed="):
+        assert key in err
+
+
+def test_solve_stats_on_threshold_fallback(tmp_path, capsys):
+    p = tmp_path / "c4_plus.graph"
+    p.write_text("10 4\n0 1\n1 2\n2 3\n3 0\n")
+    assert main(["solve", str(p), "--problem", "threshold", "--k", "2",
+                 "--stats"]) == 0
+    err = capsys.readouterr().err
+    assert "falling back to branching" in err
+    assert "budgets=2" in err and "colorings=" not in err
+
+
 def test_bad_inputs(tmp_path, capsys):
     missing = str(tmp_path / "nope.graph")
     assert main(["solve", missing, "--problem", "tp", "--k", "1"]) == 2

@@ -16,6 +16,8 @@ from fcomplete.graph import (
     mask_of,
     missing_edges_between,
     non_edges_within,
+    occurrence_masks,
+    occurrences,
     parse_graph,
 )
 
@@ -73,6 +75,26 @@ def test_find_induced_role_order_is_valid():
                 for j in range(i + 1, pattern.order):
                     expect = frozenset((i, j)) in present
                     assert g.has_edge(occ[i], occ[j]) == expect
+
+
+def test_occurrence_masks_once_per_set():
+    rng = random.Random(11)
+    for _ in range(150):
+        g = random_graph(rng, rng.randrange(0, 9), rng.choice((0.3, 0.5, 0.7)))
+        for pattern in Pattern:
+            first_seen = list(dict.fromkeys(mask_of(o) for o in occurrences(g, pattern)))
+            assert occurrence_masks(g, pattern) == first_seen
+            for u in range(g.n):
+                for v in range(g.n):
+                    if u == v:
+                        continue
+                    through = occurrence_masks(g, pattern, (u, v))
+                    assert len(through) == len(set(through))
+                    assert set(through) == {m for m in first_seen
+                                            if m >> u & 1 and m >> v & 1}
+    assert occurrence_masks(cycle_graph(5), Pattern.C5) == [0b11111]
+    assert occurrence_masks(cycle_graph(4), Pattern.C4, (0, 2)) == [0b1111]
+    assert occurrence_masks(cycle_graph(4), Pattern.P4, (0, 2)) == []
 
 
 def test_is_f_free_examples():

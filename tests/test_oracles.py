@@ -3,14 +3,25 @@ from itertools import combinations, permutations
 
 import pytest
 
-from fcomplete.graph import Graph, Pattern, bits, is_f_free, mask_of
+from fcomplete import oracles
+from fcomplete.graph import (
+    CertificationError,
+    Graph,
+    Pattern,
+    bits,
+    is_f_free,
+    mask_of,
+    occurrences,
+)
 from fcomplete.oracles import (
+    _Search,
     enumerate_minimal_completions,
     exact_chain_completion,
     exact_completion,
     exact_split_completion,
     minimal_solutions_within,
 )
+from fcomplete.reductions import reduce_to_c4_deletion, regularize
 
 from conftest import (
     all_graphs,
@@ -25,6 +36,8 @@ from conftest import (
 TP = (Pattern.C4, Pattern.P4)
 THRESHOLD = (Pattern.TWO_K2, Pattern.C4, Pattern.P4)
 SPLIT = (Pattern.TWO_K2, Pattern.C4, Pattern.C5)
+PSEUDO = (Pattern.TWO_K2, Pattern.C4)
+MODES = ("addition", "deletion")
 
 
 def test_exact_completion_examples():
@@ -50,6 +63,8 @@ def test_exact_completion_contract_violations():
         exact_completion(cycle_graph(4), (), 1)
     with pytest.raises(ValueError):
         exact_completion(Graph.complete(3), TP, -1)
+    with pytest.raises(ValueError):
+        exact_completion(cycle_graph(4), TP, 1, "edit")
 
 
 def test_oracle_matches_subset_scan():
@@ -200,3 +215,91 @@ def test_solutions_make_graph_free():
             if sol is not None:
                 sol.validate_against(g)
                 assert is_f_free(sol.apply(g), pats)
+
+
+def _scratch_masks(g, patterns):
+    return {mask_of(occ) for p in patterns for occ in occurrences(g, p)}
+
+
+def test_index_updates_match_rescan():
+    rng = random.Random(53)
+    families = [(p,) for p in Pattern] + [TP, THRESHOLD, PSEUDO, SPLIT, tuple(Pattern)]
+    for mode in MODES:
+        for pats in families:
+            for _ in range(10):
+                g = random_graph(rng, rng.randrange(4, 9), rng.choice((0.3, 0.5, 0.7)))
+                search = _Search(g.n, oracles._sorted_patterns(pats), mode)
+                index = search.index(g)
+                start = search.index(g)
+                records = []
+                for _ in range(6):
+                    pairs = list(g.non_edge_pairs() if mode == "addition" else g.edges())
+                    if not pairs:
+                        break
+                    u, v = rng.choice(pairs)
+                    g = (g.add_edges if mode == "addition" else g.remove_edges)([(u, v)])
+                    records.append(search.edit(index, g, u, v))
+                    masks = [m for slot in index for m in slot]
+                    assert len(masks) == len(set(masks))
+                    assert set(masks) == _scratch_masks(g, pats)
+                    assert index == search.index(g)
+                for record in reversed(records):
+                    search.undo(index, record)
+                assert index == start
+
+
+def _brute_min(g, patterns, k, mode):
+    """Reference optimum by scanning edit sets of size <= k."""
+    pairs = list(g.non_edge_pairs() if mode == "addition" else g.edges())
+    edit = g.add_edges if mode == "addition" else g.remove_edges
+    for size in range(min(k, len(pairs)) + 1):
+        for subset in combinations(pairs, size):
+            if is_f_free(edit(subset), patterns):
+                return size
+    return None
+
+
+def test_oracle_matches_edit_scan_every_family_both_modes():
+    rng = random.Random(59)
+    families = [(p,) for p in Pattern] + [TP, THRESHOLD, PSEUDO, SPLIT]
+    for _ in range(50):
+        g = random_graph(rng, rng.randrange(3, 7), rng.choice((0.3, 0.5, 0.7)))
+        for mode in MODES:
+            for pats in families:
+                sol = exact_completion(g, pats, 3, mode)
+                assert opt_size(sol) == _brute_min(g, pats, 3, mode)
+                if sol is not None:
+                    assert sol.mode == mode
+                    sol.validate_against(g)
+                    assert is_f_free(sol.apply(g), pats)
+
+
+def test_own_labelling_gadget_search_stays_small():
+    inst = reduce_to_c4_deletion(regularize(5, [(1, -2, 3), (-3, 4, 5)]))
+    assert inst.budget == 9
+    stats = {}
+    sol = exact_completion(inst.graph, inst.targets, inst.budget, "deletion",
+                           stats=stats)
+    assert sol is not None and sol.size == 9
+    assert stats["nodes"] <= 1000
+
+
+def test_oracle_stats_record():
+    stats = {}
+    sol = exact_completion(cycle_graph(5), SPLIT, 3, stats=stats)
+    assert sol.size == 2
+    assert set(stats) == {"nodes", "prunes", "budgets", "index_sets", "elapsed"}
+    assert stats["budgets"] == 3 and stats["index_sets"] == 1
+    assert stats["nodes"] >= stats["budgets"] and stats["prunes"] >= 2
+    # a budget refuted by the cheap root check builds no index
+    stats = {}
+    assert exact_completion(cycle_graph(5), SPLIT, 0, stats=stats) is None
+    assert stats == {"nodes": 1, "prunes": 1, "budgets": 1, "index_sets": 0,
+                     "elapsed": stats["elapsed"]}
+
+
+def test_oracle_certifies_its_answer(monkeypatch):
+    monkeypatch.setattr(oracles, "is_f_free", lambda g, pats: False)
+    with pytest.raises(CertificationError):
+        exact_completion(cycle_graph(4), TP, 1)
+    assert exact_completion(cycle_graph(4), TP, 0) is None
