@@ -29,11 +29,8 @@ from .recognition import (
     is_threshold,
     is_trivially_perfect,
 )
-from .threshold_subexp import threshold_complete
-from .tp_subexp import FamilyLimitError, format_stats, tp_complete
-
-# More generous than the library default so --algo subexp covers the corpus.
-CLI_WORK_CAP = 12_000_000
+from .threshold_subexp import ColoringGuardError, threshold_complete
+from .tp_subexp import format_stats, tp_complete
 
 EXIT_YES, EXIT_NO, EXIT_ERROR = 0, 1, 2
 
@@ -112,29 +109,19 @@ def run_solve(args) -> int:
     if problem == "ffree" or algo == "branch" or problem == "split":
         solution = exact_completion(g, patterns, k, stats=stats)
     elif problem == "tp":
-        cap = args.family_cap
-        if algo == "subexp":
-            try:
-                solution = tp_complete(g, k, work_cap=cap, on_cap="error",
-                                       stats=stats)
-            except FamilyLimitError as exc:
-                raise CliError(str(exc))
-        else:
-            solution = tp_complete(g, k, work_cap=cap, stats=stats)
+        solution = tp_complete(g, k, stats=stats)
     elif problem == "threshold":
         try:
             solution = threshold_complete(g, k, mode=args.coloring_mode,
                                           trials=args.trials, seed=seed,
                                           stats=stats)
         except ValueError as exc:
-            if algo == "auto":
-                print(f"warning: {exc}; falling back to branching",
-                      file=sys.stderr)
-                if stats is not None:
-                    stats.clear()
-                solution = exact_completion(g, patterns, k, stats=stats)
-            else:
+            if algo != "auto" or not isinstance(exc, ColoringGuardError):
                 raise CliError(str(exc))
+            print(f"warning: {exc}; falling back to branching", file=sys.stderr)
+            if stats is not None:
+                stats.clear()
+            solution = exact_completion(g, patterns, k, stats=stats)
     elif problem == "pseudosplit":
         solution = pseudosplit_complete(g, k)
     else:  # pragma: no cover
@@ -230,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignore --k and find the optimum")
     solve.add_argument("--algo", choices=("auto", "subexp", "branch"),
                        default="auto")
-    solve.add_argument("--family-cap", type=int, default=CLI_WORK_CAP,
-                       help="work cap for the candidate-family enumeration")
     solve.add_argument("--coloring-mode", choices=("exhaustive", "randomized"),
                        default="exhaustive")
     solve.add_argument("--trials", type=int, default=None)

@@ -121,12 +121,16 @@ for _p in Pattern:
 class Graph:
     """Immutable simple undirected graph with bitset adjacency."""
 
-    __slots__ = ("n", "adj", "m")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Sequence[int]):
         self.n = n
         self.adj = tuple(adj)
-        self.m = sum(a.bit_count() for a in self.adj) // 2
+
+    @property
+    def m(self) -> int:
+        """Number of edges, counted on access."""
+        return sum(a.bit_count() for a in self.adj) // 2
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -69,11 +69,13 @@ def class_partitions(n: int, k: int, mode: str = "exhaustive",
     ``exhaustive`` covers all t^n colorings and raises
     :class:`ColoringGuardError` when t^n exceeds ``EXHAUSTIVE_GUARD``;
     ``randomized`` draws ``trials`` seeded uniform colorings (default
-    ``default_trials(k, t)``).  Mode, guard and trials are checked here,
-    before the first partition is drawn.
+    ``default_trials(k, t)``; a given count must be at least 1).  Mode,
+    trials and guard are checked here, before the first partition is drawn.
     """
     if mode not in ("exhaustive", "randomized"):
         raise ValueError(f"bad mode {mode!r}")
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     t = default_color_count(k, mode)
     if mode == "exhaustive":
         if t ** n > EXHAUSTIVE_GUARD:

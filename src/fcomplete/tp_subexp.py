@@ -1,15 +1,18 @@
-"""Trivially perfect completion via vital-PMC enumeration and block DP.
+"""Trivially perfect completion via a candidate-clique family and block DP.
 
-Pipeline: kernelize (component split), enumerate candidate maximal cliques of
-minimal completions (Types 1-4), derive a block family from candidate
+Pipeline: kernelize (component split), build the candidate maximal cliques
+of every completion within budget, derive a block family from candidate
 triples, then run the block dynamic program and retrace an optimal edge set.
 
-The Type-3/4 enumerators realize their recipes with staged deduplication:
-the emitted set only depends on a handful of derived masks, so choices are
+:func:`tp_complete` builds one candidate family per kernel component, the
+near-clique family (see :func:`near_clique_family`), which contains every
+maximal clique of a completion with at most k added edges.  The paper's
+Type 1-4 recipes (:func:`enumerate_vital_pmcs`) stay as the reference family
+that the superset tests check against; the solver does not run them.  The
+Type-3/4 enumerators realize their recipes with staged deduplication: the
+emitted set only depends on a handful of derived masks, so choices are
 grouped by those masks instead of being expanded one by one.  Their raw
-choice space is superpolynomial in n at fixed k, so all enumerators carry a
-work cap; :func:`tp_complete` falls back to the near-clique superset family
-when the cap trips (see :func:`near_clique_family` for why that is safe).
+choice space is superpolynomial in n at fixed k, so they carry a work cap.
 """
 
 from __future__ import annotations
@@ -231,39 +234,28 @@ def near_clique_family(g: Graph, k: int, prune_dominated: bool = False) -> Candi
     """All non-empty vertex sets with at most k internal non-edges.
 
     Every maximal clique of a completion with <= k added edges has at most k
-    internal non-edges, and each pruned Type family is contained in this one,
-    so it is a certified superset of the recipe family: the downstream block
-    construction and DP stay exact on it.
+    internal non-edges, so this family contains all of them (and each pruned
+    Type family): the downstream block construction and DP stay exact on it.
 
-    With ``prune_dominated``, sets having an outside vertex adjacent to all
-    members are dropped; such a set is never maximal in any supergraph.
+    With ``prune_dominated``, a set that some outside vertex is adjacent to
+    in full is skipped as the search meets it; such a set is never maximal
+    in any supergraph.  The search carries the members' common neighborhood,
+    which is exactly the set of such outside vertices.
     """
     fam = CandidateFamily(g.n)
     n = g.n
     adj = g.adj
-    full = g.vertices
 
-    def grow(start: int, mask: int, size: int, missing: int) -> None:
-        if mask:
+    def grow(start: int, mask: int, size: int, missing: int, common: int) -> None:
+        if mask and not (prune_dominated and common):
             fam.add(mask, "superset")
         for v in range(start, n):
             add_missing = size - (adj[v] & mask).bit_count()
             nm = missing + add_missing
             if nm <= k:
-                grow(v + 1, mask | (1 << v), size + 1, nm)
+                grow(v + 1, mask | (1 << v), size + 1, nm, common & adj[v])
 
-    grow(0, 0, 0, 0)
-    if prune_dominated:
-        kept = {}
-        for mask, tag in fam.tags.items():
-            dominated = False
-            for v in bits(full & ~mask):
-                if adj[v] & mask == mask:
-                    dominated = True
-                    break
-            if not dominated:
-                kept[mask] = tag
-        fam.tags = kept
+    grow(0, 0, 0, 0, g.vertices)
     return fam
 
 
@@ -292,8 +284,7 @@ def enumerate_vital_pmcs(g: Graph, k: int,
     return fam
 
 
-def build_blocks(candidates: Iterable[int], g: Graph, k: int,
-                 work_cap: Optional[int] = DEFAULT_WORK_CAP) -> BlockFamily:
+def build_blocks(candidates: Iterable[int], g: Graph, k: int) -> BlockFamily:
     """Blocks derivable from candidate triples, filtered to connected G[Y].
 
     Internal shape: Q = Ω1 ∩ Ω2, B = Q \\ Ω3, Y the component of
@@ -301,7 +292,6 @@ def build_blocks(candidates: Iterable[int], g: Graph, k: int,
     (Ω1 ∩ Ω2, component of G containing it).
     """
     masks = sorted(set(candidates))
-    meter = _WorkMeter(work_cap)
     comps = components(g)
 
     def component_of(mask: int) -> Optional[int]:
@@ -312,7 +302,6 @@ def build_blocks(candidates: Iterable[int], g: Graph, k: int,
 
     inters = set()
     leaves = set()
-    meter.spend(len(masks) * len(masks))
     for m1 in masks:
         for m2 in masks:
             q = m1 & m2
@@ -330,7 +319,6 @@ def build_blocks(candidates: Iterable[int], g: Graph, k: int,
         if comp is not None:
             pairs.add((b, comp))
     seen_bd = set()
-    meter.spend(len(inters) * len(masks))
     for q in inters:
         for m3 in masks:
             b = q & ~m3
@@ -463,42 +451,30 @@ def fill_profile(g: Graph, completion: CompletionSet) -> tuple[int, ...]:
     return tuple(fills)
 
 
-def tp_complete(g: Graph, k: int, work_cap: Optional[int] = DEFAULT_WORK_CAP,
-                on_cap: str = "fallback",
+def tp_complete(g: Graph, k: int,
                 stats: Optional[dict] = None) -> Optional[CompletionSet]:
     """Minimum trivially perfect completion of size <= k, or None.
 
-    Runs the kernel / enumerate / DP pipeline per connected component and
-    sums the per-component optima.  When the Type-3/4 work cap trips and
-    ``on_cap`` is ``"fallback"``, the component is solved over the
-    near-clique superset family instead (still exact); with ``"error"`` the
-    :class:`FamilyLimitError` propagates.
+    Runs the kernel / family / block / DP pipeline per connected component
+    and sums the per-component optima.  Each component's candidate family is
+    ``near_clique_family(part, k, prune_dominated=True)``.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
     t0 = time.perf_counter()
     if stats is not None:
-        stats.update({"n": g.n, "k": k, "c1": 0, "c2": 0, "c3": 0, "c4": 0,
-                      "family": 0, "blocks": 0, "dp_pairs": 0,
-                      "fallbacks": 0, "value": None, "elapsed": None})
+        # "fallbacks" is always 0; the benchmark's tracer still reads it.
+        stats.update({"n": g.n, "k": k, "family": 0, "blocks": 0,
+                      "dp_pairs": 0, "fallbacks": 0, "value": None,
+                      "elapsed": None})
     kernel = kernelize(g, k)
     total = 0
     all_pairs: list[tuple[int, int]] = []
     for part, ids in kernel.parts:
-        try:
-            fam = enumerate_vital_pmcs(part, k, work_cap)
-        except FamilyLimitError:
-            if on_cap != "fallback":
-                raise
-            fam = near_clique_family(part, k, prune_dominated=True)
-            if stats is not None:
-                stats["fallbacks"] += 1
-        blocks = build_blocks(fam.tags, part, k, work_cap=None)
+        fam = near_clique_family(part, k, prune_dominated=True)
+        blocks = build_blocks(fam.tags, part, k)
         sol = dp_solve(blocks, part, k)
         if stats is not None:
-            for tag, key in (("Type1", "c1"), ("Type2", "c2"),
-                             ("Type3", "c3"), ("Type4", "c4")):
-                stats[key] += sum(1 for t in fam.tags.values() if t == tag)
             stats["family"] += len(fam)
             stats["blocks"] += len(blocks)
             stats["dp_pairs"] += len(sol.table) if sol else 0
@@ -519,8 +495,8 @@ def tp_complete(g: Graph, k: int, work_cap: Optional[int] = DEFAULT_WORK_CAP,
 
 def format_stats(stats: dict) -> str:
     """Render a stats dict as the key=value text block used by the CLI."""
-    keys = ["n", "k", "c1", "c2", "c3", "c4", "family", "blocks",
-            "dp_pairs", "fallbacks", "value", "elapsed"]
+    keys = ["n", "k", "family", "blocks", "dp_pairs", "fallbacks", "value",
+            "elapsed"]
     lines = []
     for key in keys:
         if key in stats:

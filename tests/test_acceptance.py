@@ -42,7 +42,13 @@ from fcomplete.reductions import (
     solution_from_assignment,
 )
 from fcomplete.threshold_subexp import threshold_complete
-from fcomplete.tp_subexp import build_blocks, enumerate_vital_pmcs, tp_complete
+from fcomplete.tp_subexp import (
+    build_blocks,
+    dp_solve,
+    enumerate_vital_pmcs,
+    kernelize,
+    tp_complete,
+)
 
 from conftest import (
     fig2_graph,
@@ -573,11 +579,15 @@ def test_criterion_10_scaling_report():
           " the first type that produced them):")
     print("k | |C1| | |C2| | |C3| | |C4| | |C| | |S| | dp")
     rows = []
+    # the kernel keeps one component of g, the one that is not TP
+    (part, _), = kernelize(g, 1).parts
     for k in range(1, 5):
-        stats = {}
-        tp_complete(g, k, work_cap=None, stats=stats)
-        rows.append((k, stats["c1"], stats["c2"], stats["c3"], stats["c4"],
-                     stats["family"], stats["blocks"], stats["dp_pairs"]))
+        fam = enumerate_vital_pmcs(part, k, work_cap=None)
+        tags = list(fam.tags.values())
+        blocks = build_blocks(fam.tags, part, k)
+        sol = dp_solve(blocks, part, k)
+        rows.append((k, *(tags.count(f"Type{i}") for i in range(1, 5)),
+                     len(fam), len(blocks), len(sol.table) if sol else 0))
         print(" | ".join(str(x) for x in rows[-1]))
     assert all(r[5] > 0 and r[6] > 0 for r in rows)
     # family sizes grow with the budget

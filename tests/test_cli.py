@@ -91,6 +91,17 @@ def test_solve_stats_on_threshold_fallback(tmp_path, capsys):
     assert "budgets=2" in err and "colorings=" not in err
 
 
+def test_solve_threshold_nonpositive_trials_is_an_error(tmp_path, capsys):
+    p = tmp_path / "two_k2.graph"
+    p.write_text("4 2\n0 1\n2 3\n")
+    for trials in ("0", "-3"):
+        assert main(["solve", str(p), "--problem", "threshold", "--k", "2",
+                     "--coloring-mode", "randomized", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials" in captured.err and "falling back" not in captured.err
+
+
 def test_bad_inputs(tmp_path, capsys):
     missing = str(tmp_path / "nope.graph")
     assert main(["solve", missing, "--problem", "tp", "--k", "1"]) == 2

@@ -90,6 +90,16 @@ def test_family_guard():
         threshold_complete(two_k2, 2)
 
 
+def test_nonpositive_trials_raise_up_front():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials"):
+            class_partitions(4, 2, mode="randomized", trials=trials)
+        two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="trials") as info:
+            threshold_complete(two_k2, 2, mode="randomized", trials=trials)
+        assert not isinstance(info.value, ColoringGuardError)
+
+
 def test_default_trials_bound():
     # documented bound: (1 - d/t)^k success per trial, 0.99 overall
     assert default_trials(0, 2) == 1

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fcomplete import tp_subexp
 from fcomplete.graph import Graph, Pattern, bits, is_f_free, mask_of, non_edges_within
 from fcomplete.oracles import enumerate_minimal_completions, exact_completion
 from fcomplete.recognition import blocks_of, build_ucd, is_trivially_perfect
@@ -114,6 +115,18 @@ def test_near_clique_family_is_superset():
         assert set(fam.tags) <= set(nc.tags)
 
 
+def test_near_clique_pruning_drops_exactly_dominated_sets():
+    rng = random.Random(54)
+    for _ in range(60):
+        g = random_graph(rng, rng.randrange(1, 9), rng.random())
+        k = rng.randrange(0, 5)
+        full = set(near_clique_family(g, k).tags)
+        dominated = {m for m in full
+                     if any(g.adj[v] & m == m for v in bits(g.vertices & ~m))}
+        pruned = near_clique_family(g, k, prune_dominated=True)
+        assert set(pruned.tags) == full - dominated
+
+
 def test_superset_property_small():
     rng = random.Random(57)
     for _ in range(40):
@@ -181,6 +194,19 @@ def test_tp_complete_examples():
     assert tp_complete(c4_c4, 1) is None
 
 
+def test_tp_complete_runs_no_type_enumerator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tp_complete ran a Type enumerator")
+
+    for name in ("enumerate_vital_pmcs", "enumerate_type3", "enumerate_type4"):
+        monkeypatch.setattr(tp_subexp, name, refuse)
+    rng = random.Random(62)
+    for _ in range(40):
+        g = random_graph(rng, rng.randrange(6, 11), rng.random())
+        k = rng.randrange(0, 5)
+        assert opt_size(tp_complete(g, k)) == opt_size(exact_completion(g, TP, k))
+
+
 def test_tp_complete_matches_oracle_small():
     rng = random.Random(61)
     for _ in range(60):
@@ -206,12 +232,8 @@ def test_work_cap_and_fallback():
     g = random_graph(random.Random(71), 8, 0.5)
     with pytest.raises(FamilyLimitError):
         enumerate_type4(g, 4, work_cap=1000)
-    with pytest.raises(FamilyLimitError):
-        tp_complete(g, 3, work_cap=1000, on_cap="error")
-    stats = {}
-    sol = tp_complete(g, 3, work_cap=1000, stats=stats)
-    assert stats["fallbacks"] >= 1
-    assert opt_size(sol) == opt_size(exact_completion(g, TP, 3))
+    for k in range(5):
+        assert opt_size(tp_complete(g, k)) == opt_size(exact_completion(g, TP, k))
 
 
 def test_stats_emission():
@@ -219,4 +241,4 @@ def test_stats_emission():
     tp_complete(cycle_graph(4), 2, stats=stats)
     text = format_stats(stats)
     assert "family=" in text and "blocks=" in text and "value=1" in text
-    assert stats["c1"] > 0
+    assert stats["family"] > 0
