@@ -44,6 +44,7 @@ from .recognition import (
 from .threshold_subexp import (
     class_partitions,
     threshold_complete,
+    threshold_complete_coloring,
 )
 from .tp_subexp import (
     build_blocks,

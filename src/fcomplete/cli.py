@@ -29,7 +29,11 @@ from .recognition import (
     is_threshold,
     is_trivially_perfect,
 )
-from .threshold_subexp import ColoringGuardError, threshold_complete
+from .threshold_subexp import (
+    StateCapError,
+    threshold_complete,
+    threshold_complete_coloring,
+)
 from .tp_subexp import format_stats, tp_complete
 
 EXIT_YES, EXIT_NO, EXIT_ERROR = 0, 1, 2
@@ -103,6 +107,8 @@ def run_solve(args) -> int:
     problem, patterns = _parse_problem(args.problem)
     k = _budget(args, g)
     seed = _seed(args)
+    if args.trials is not None and args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     stats: Optional[dict] = {} if args.stats else None
     algo = args.algo
     solution: Optional[CompletionSet]
@@ -112,16 +118,14 @@ def run_solve(args) -> int:
         solution = tp_complete(g, k, stats=stats)
     elif problem == "threshold":
         try:
-            solution = threshold_complete(g, k, mode=args.coloring_mode,
-                                          trials=args.trials, seed=seed,
-                                          stats=stats)
-        except ValueError as exc:
-            if algo != "auto" or not isinstance(exc, ColoringGuardError):
-                raise CliError(str(exc))
-            print(f"warning: {exc}; falling back to branching", file=sys.stderr)
-            if stats is not None:
-                stats.clear()
-            solution = exact_completion(g, patterns, k, stats=stats)
+            if algo == "subexp":
+                solution = threshold_complete_coloring(
+                    g, k, mode=args.coloring_mode, trials=args.trials,
+                    seed=seed, stats=stats)
+            else:
+                solution = threshold_complete(g, k, stats=stats)
+        except (ValueError, StateCapError) as exc:
+            raise CliError(str(exc))
     elif problem == "pseudosplit":
         solution = pseudosplit_complete(g, k)
     else:  # pragma: no cover

@@ -1,12 +1,21 @@
-"""Threshold completion via chromatic coding.
+"""Threshold completion: an exact vertex-peeling DP and the paper's coloring path.
 
-The colorings are used only through the class partitions they induce, each
-taken once.  Per class partition: every class must induce a split graph; the
-cross product of per-class split partitions yields global (C, I) candidates,
-each finished by making C a clique and nesting the I-to-C neighborhoods with
-the exact chain-completion DP.  Exhaustive coloring mode is exact;
-randomized mode is exact whenever some sampled coloring properly colors an
-optimal solution.
+``threshold_complete`` is the solver.  It rests on Chvatal and Hammer (1977):
+a graph is threshold exactly when every induced subgraph has an isolated or
+a dominating vertex.  For a vertex set S, a vertex isolated or universal in
+G[S] is peeled at no cost; otherwise every completion of G[S] has a
+dominating vertex v, which costs its |S|-1-deg_S(v) missing edges, so
+f(S) = min over v of (|S|-1-deg_S(v)) + f(S - v).  The DP memoizes f on the
+peeled sets under a budget cap and retraces the paid vertices.
+
+``threshold_complete_coloring`` is the paper's chromatic-coding algorithm,
+kept as the reference path.  The colorings are used only through the class
+partitions they induce, each taken once.  Per class partition: every class
+must induce a split graph; the cross product of per-class split partitions
+yields global (C, I) candidates, each finished by making C a clique and
+nesting the I-to-C neighborhoods with the exact chain-completion DP.
+Exhaustive coloring mode is exact; randomized mode is exact whenever some
+sampled coloring properly colors an optimal solution.
 """
 
 from __future__ import annotations
@@ -29,10 +38,123 @@ from .tp_subexp import sqrt_budgets
 
 EXHAUSTIVE_GUARD = 10 ** 6
 ASSEMBLY_CAP = 5_000_000
+STATE_CAP = 1_000_000
 
 
 class ColoringGuardError(ValueError):
     """Exhaustive family would exceed the guard; suggests randomized mode."""
+
+
+class StateCapError(RuntimeError):
+    """The peeling DP would store more than ``STATE_CAP`` vertex sets."""
+
+
+def threshold_complete(g: Graph, k: int,
+                       stats: Optional[dict] = None) -> Optional[CompletionSet]:
+    """Minimum threshold completion of size <= k, by the vertex-peeling DP.
+
+    Exact.  Each paid peel costs at least one edge, so the DP visits at most
+    min(2^n, sum_{i <= k} C(n, i)) peeled sets and recurses at most
+    min(n, k + 1) deep; it raises :class:`StateCapError` instead of storing
+    more than ``STATE_CAP`` sets (or recursing past the interpreter's limit).
+    ``stats`` receives ``states``, ``exact`` (always true) and ``elapsed``,
+    and the coloring engine's counters at 0.
+    """
+    if k < 0:
+        raise ValueError("budget must be non-negative")
+    t0 = time.perf_counter()
+    adj = g.adj
+    memo: dict[int, tuple[int, int]] = {}
+
+    def cost(s: int, cap: int) -> int:
+        """f(s) of a peeled s if at most cap, else a lower bound above cap."""
+        if not s:
+            return 0
+        hit = memo.get(s)
+        if hit is not None and (hit[1] >= 0 or hit[0] > cap):
+            return hit[0]
+        last = s.bit_count() - 1
+        order = []
+        # removing v leaves a vertex free exactly when it was a degree-1
+        # neighbour of v or a degree-(|s|-2) non-neighbour of v
+        ones = tight = 0
+        for v in bits(s):
+            d = (adj[v] & s).bit_count()
+            order.append((last - d, v))
+            if d == 1:
+                ones |= 1 << v
+            elif d == last - 1:
+                tight |= 1 << v
+        order.sort()
+        value, choice = math.inf, -1
+        for c, v in order:
+            limit = min(cap, value - 1)
+            if c > limit:
+                value = min(value, c)
+                break
+            rest = s ^ (1 << v)
+            if ones & adj[v] or tight & rest & ~adj[v]:
+                rest = _peel(adj, rest)
+            x = c + cost(rest, limit - c)
+            if x < value:
+                value, choice = x, (v if x <= cap else -1)
+        if hit is None and len(memo) >= STATE_CAP:
+            raise StateCapError(
+                f"threshold DP exceeded {STATE_CAP} states at budget {k}")
+        memo[s] = (value, choice)
+        return value
+
+    try:
+        value = cost(_peel(adj, g.vertices), k)
+    except RecursionError:
+        raise StateCapError(
+            f"threshold DP recursed too deep at budget {k}") from None
+    best: Optional[CompletionSet] = None
+    if value <= k:
+        pairs = []
+        s = _peel(adj, g.vertices)
+        while s:
+            v = memo[s][1]
+            pairs.extend((v, u) for u in bits(s & ~adj[v] & ~(1 << v)))
+            s = _peel(adj, s & ~(1 << v))
+        best = CompletionSet(tuple(pairs), "addition")
+        if best.size != value:
+            raise CertificationError(
+                f"retrace gave {best.size} pairs, the DP value is {value}")
+        _certify(g, best, k)
+    if stats is not None:
+        stats.update({"states": len(memo), "exact": True, "colorings": 0,
+                      "assemblies": 0, "pairs_tested": 0,
+                      "elapsed": time.perf_counter() - t0})
+    return best
+
+
+def _peel(adj: list[int], s: int) -> int:
+    """Drop the vertices isolated or universal in G[s] until none is left.
+
+    With two or more vertices, G[s] cannot have both kinds at once, so each
+    round drops all of one kind together.
+    """
+    while s:
+        free, rest = 0, s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            near = adj[low.bit_length() - 1] & s
+            if not near or near | low == s:
+                free |= low
+        if not free:
+            break
+        s ^= free
+    return s
+
+
+def _certify(g: Graph, best: CompletionSet, k: int) -> None:
+    if best.size > k:
+        raise CertificationError(
+            f"threshold answer has {best.size} pairs, budget {k}")
+    if not is_threshold(best.apply(g)):
+        raise CertificationError("threshold answer is not threshold")
 
 
 def default_color_count(k: int, mode: str = "exhaustive") -> int:
@@ -167,11 +289,13 @@ def _has_internal_edge(g: Graph, mask: int) -> bool:
     return False
 
 
-def threshold_complete(g: Graph, k: int, mode: str = "exhaustive",
-                       trials: Optional[int] = None, seed: int = 0,
-                       stats: Optional[dict] = None) -> Optional[CompletionSet]:
-    """Minimum threshold completion of size <= k found through the colorings.
+def threshold_complete_coloring(
+        g: Graph, k: int, mode: str = "exhaustive",
+        trials: Optional[int] = None, seed: int = 0,
+        stats: Optional[dict] = None) -> Optional[CompletionSet]:
+    """The paper's chromatic-coding algorithm; reference for the DP.
 
+    Minimum threshold completion of size <= k found through the colorings.
     Exact in exhaustive mode; in randomized mode exact when lucky (the
     ``exact`` stats flag records which guarantee applies).  Additions go
     inside C and from I to C only.  The cross product over all class
@@ -234,11 +358,7 @@ def threshold_complete(g: Graph, k: int, mode: str = "exhaustive",
             if stats is not None:
                 stats["best_trace"].append(best.size)
     if best is not None:
-        if best.size > k:
-            raise CertificationError(
-                f"threshold answer has {best.size} pairs, budget {k}")
-        if not is_threshold(best.apply(g)):
-            raise CertificationError("threshold answer is not threshold")
+        _certify(g, best, k)
     if stats is not None:
         stats["elapsed"] = time.perf_counter() - t0
     return best

@@ -41,7 +41,10 @@ from fcomplete.reductions import (
     satisfying_assignments,
     solution_from_assignment,
 )
-from fcomplete.threshold_subexp import threshold_complete
+from fcomplete.threshold_subexp import (
+    threshold_complete,
+    threshold_complete_coloring,
+)
 from fcomplete.tp_subexp import (
     build_blocks,
     dp_solve,
@@ -63,6 +66,7 @@ from conftest import (
 
 TP = (Pattern.C4, Pattern.P4)
 THRESHOLD = (Pattern.TWO_K2, Pattern.C4, Pattern.P4)
+THRESHOLD_ENGINES = (threshold_complete, threshold_complete_coloring)
 PSEUDO = (Pattern.TWO_K2, Pattern.C4)
 
 
@@ -149,7 +153,7 @@ def test_criterion_3_candidate_superset():
 def test_criterion_4_threshold_exactness():
     t0 = time.perf_counter()
     mismatches = 0
-    # full budget grid up to n = 5
+    # full budget grid up to n = 5, both engines
     for n in range(1, 6):
         pairs = pair_list(n)
         for emask in range(1 << len(pairs)):
@@ -157,22 +161,25 @@ def test_criterion_4_threshold_exactness():
             oracle4 = opt_size(exact_completion(g, THRESHOLD, 4))
             for k in range(5):
                 expect = oracle4 if oracle4 is not None and oracle4 <= k else None
-                if opt_size(threshold_complete(g, k)) != expect:
-                    mismatches += 1
+                for solve in THRESHOLD_ENGINES:
+                    if opt_size(solve(g, k)) != expect:
+                        mismatches += 1
     # n = 6: every labeled graph at the top budget, sampled smaller budgets
     pairs = pair_list(6)
     for emask in range(1 << 15):
         g = graph_from_mask(6, emask, pairs)
-        if opt_size(threshold_complete(g, 4)) != \
-                opt_size(exact_completion(g, THRESHOLD, 4)):
-            mismatches += 1
+        expect = opt_size(exact_completion(g, THRESHOLD, 4))
+        for solve in THRESHOLD_ENGINES:
+            if opt_size(solve(g, 4)) != expect:
+                mismatches += 1
     rng = random.Random(777)
     for _ in range(300):
         g = graph_from_mask(6, rng.randrange(1 << 15), pairs)
         k = rng.randrange(4)
-        if opt_size(threshold_complete(g, k)) != \
-                opt_size(exact_completion(g, THRESHOLD, k)):
-            mismatches += 1
+        expect = opt_size(exact_completion(g, THRESHOLD, k))
+        for solve in THRESHOLD_ENGINES:
+            if opt_size(solve(g, k)) != expect:
+                mismatches += 1
     assert mismatches == 0
     # planted recovery: delete j <= 3 edges from random threshold graphs
     rng = random.Random(424242)
@@ -185,8 +192,9 @@ def test_criterion_4_threshold_exactness():
             continue
         j = min(len(edges), rng.randrange(1, 4))
         broken = g.remove_edges(rng.sample(edges, j))
-        sol = threshold_complete(broken, j, mode="randomized", trials=160,
-                                 seed=rng.randrange(1 << 30))
+        sol = threshold_complete_coloring(broken, j, mode="randomized",
+                                          trials=160,
+                                          seed=rng.randrange(1 << 30))
         if sol is None or sol.size > j:
             failures += 1
     assert failures == 0

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from fcomplete import threshold_subexp
 from fcomplete.cli import main
 from fcomplete.graph import parse_graph
 
@@ -82,13 +83,27 @@ def test_solve_stats_from_oracle(c4_file, capsys, argv):
 
 
 def test_solve_stats_on_threshold_fallback(tmp_path, capsys):
+    # past the coloring guard (4^10): auto runs the DP, subexp is an error
     p = tmp_path / "c4_plus.graph"
     p.write_text("10 4\n0 1\n1 2\n2 3\n3 0\n")
     assert main(["solve", str(p), "--problem", "threshold", "--k", "2",
                  "--stats"]) == 0
-    err = capsys.readouterr().err
-    assert "falling back to branching" in err
-    assert "budgets=2" in err and "colorings=" not in err
+    captured = capsys.readouterr()
+    assert captured.out.startswith("OPT 1\n")
+    assert "states=" in captured.err and "falling back" not in captured.err
+    assert main(["solve", str(p), "--problem", "threshold", "--k", "2",
+                 "--algo", "subexp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exhaustive guard" in captured.err
+
+
+def test_solve_threshold_state_cap_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(threshold_subexp, "STATE_CAP", 0)
+    p = tmp_path / "c4.graph"
+    p.write_text(C4_TEXT)
+    assert main(["solve", str(p), "--problem", "threshold", "--optimize"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "states" in captured.err
 
 
 def test_solve_threshold_nonpositive_trials_is_an_error(tmp_path, capsys):
@@ -187,14 +202,21 @@ def test_oracle_subcommand(c4_file, capsys):
 def test_corpus_algo_agreement(capsys):
     assert CORPUS, "corpus files missing"
     for path in CORPUS:
-        for k in (2, 4):
-            results = {}
-            for algo in ("subexp", "branch"):
-                code = main(["solve", path, "--problem", "tp", "--k", str(k),
-                             "--algo", algo, "--verify"])
-                out = capsys.readouterr().out
-                results[algo] = (code, out.splitlines()[0])
-            assert results["subexp"] == results["branch"], (path, k, results)
+        with open(path) as fh:
+            n = parse_graph(fh.read()).n
+        runs = [("tp", ("subexp", "branch"))]
+        if n <= 9:
+            runs.append(("threshold", ("auto", "subexp", "branch")))
+        for problem, algos in runs:
+            for k in (2, 4):
+                results = {}
+                for algo in algos:
+                    code = main(["solve", path, "--problem", problem,
+                                 "--k", str(k), "--algo", algo, "--verify"])
+                    out = capsys.readouterr().out
+                    results[algo] = (code, out.splitlines()[0])
+                assert len(set(results.values())) == 1, (path, problem, k,
+                                                         results)
 
 
 _OUT_RE = re.compile(r"\AOPT \d+\n(\d+ \d+\n)*\Z|\ANO\n\Z")
