@@ -127,7 +127,7 @@ def run_solve(args) -> int:
         except (ValueError, StateCapError) as exc:
             raise CliError(str(exc))
     elif problem == "pseudosplit":
-        solution = pseudosplit_complete(g, k)
+        solution = pseudosplit_complete(g, k, stats=stats)
     else:  # pragma: no cover
         raise CliError(f"unhandled problem {problem}")
     if args.verify and solution is not None:

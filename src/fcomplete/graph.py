@@ -282,16 +282,17 @@ def occurrences(g: Graph, pattern: Pattern) -> Iterator[tuple[int, ...]]:
     yield from extend(0, 0)
 
 
-def _symmetry_conditions(pattern: Pattern) -> tuple[tuple[int, int], ...]:
+@functools.cache
+def _symmetry_conditions(rows: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Role pairs ``(a, b)`` such that ``chosen[a] < chosen[b]`` keeps exactly
-    one role tuple per occurrence: the lexicographically smallest one.
+    one role tuple per occurrence of the graph with adjacency ``rows``: the
+    lexicographically smallest one.
 
-    Orbit-stabilizer chain of the pattern's automorphism group (Grochow and
-    Kellis, RECOMB 2007): the first role with a non-trivial orbit gets the
-    smallest vertex of its orbit, then the same runs in its stabilizer.
+    Orbit-stabilizer chain of the automorphism group (Grochow and Kellis,
+    RECOMB 2007): the first role with a non-trivial orbit gets the smallest
+    vertex of its orbit, then the same runs in its stabilizer.
     """
-    r = _PATTERN_ORDER[pattern]
-    rows = _PATTERN_ADJ[pattern]
+    r = len(rows)
     group = [s for s in permutations(range(r))
              if all(rows[s[i]] >> s[j] & 1 == rows[i] >> j & 1
                     for i in range(r) for j in range(r))]
@@ -303,25 +304,22 @@ def _symmetry_conditions(pattern: Pattern) -> tuple[tuple[int, int], ...]:
     return tuple(conds)
 
 
-_SYMMETRY = {p: _symmetry_conditions(p) for p in Pattern}
-
-
-def _placement_plan(pattern: Pattern, order: Sequence[int]) -> tuple:
+def _placement_plan(rows: tuple[int, ...], order: Sequence[int]) -> tuple:
     """For each role in placement ``order``: the roles placed before it that
-    it must be adjacent / non-adjacent to, and those it must lie above /
-    below (from the symmetry conditions)."""
-    padj = _PATTERN_ADJ[pattern]
+    it must be adjacent / non-adjacent to (from the adjacency ``rows``), and
+    those it must lie above / below (from the symmetry conditions)."""
+    symmetry = _symmetry_conditions(rows)
     steps = []
     for t, role in enumerate(order):
         before = order[:t]
-        steps.append((tuple(e for e in before if padj[role] >> e & 1),
-                      tuple(e for e in before if not padj[role] >> e & 1),
-                      tuple(a for a, b in _SYMMETRY[pattern] if b == role and a in before),
-                      tuple(b for a, b in _SYMMETRY[pattern] if a == role and b in before)))
+        steps.append((tuple(e for e in before if rows[role] >> e & 1),
+                      tuple(e for e in before if not rows[role] >> e & 1),
+                      tuple(a for a, b in symmetry if b == role and a in before),
+                      tuple(b for a, b in symmetry if a == role and b in before)))
     return tuple(order), tuple(steps)
 
 
-_FULL_PLANS = {p: _placement_plan(p, range(p.order)) for p in Pattern}
+_FULL_PLANS = {p: _placement_plan(_PATTERN_ADJ[p], range(p.order)) for p in Pattern}
 
 
 @functools.cache
@@ -330,11 +328,13 @@ def _anchor_plans(p: Pattern, adjacent: bool, ordered: bool) -> tuple:
     an edge role if ``adjacent``, else a non-edge role, leaving out the
     placements whose symmetry condition between i and j the pair breaks
     (``ordered`` is u < v)."""
+    rows = _PATTERN_ADJ[p]
+    symmetry = _symmetry_conditions(rows)
     return tuple(
-        _placement_plan(p, (i, j) + tuple(x for x in range(p.order) if x not in (i, j)))
+        _placement_plan(rows, (i, j) + tuple(x for x in range(p.order) if x not in (i, j)))
         for i in range(p.order) for j in range(p.order)
-        if i != j and bool(_PATTERN_ADJ[p][i] >> j & 1) == adjacent
-        and ((j, i) if ordered else (i, j)) not in _SYMMETRY[p])
+        if i != j and bool(rows[i] >> j & 1) == adjacent
+        and ((j, i) if ordered else (i, j)) not in symmetry)
 
 
 def _place(gadj, plan, pins, out: list) -> None:

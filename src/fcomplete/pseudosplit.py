@@ -1,24 +1,40 @@
-"""Pseudosplit completion: split-completion attempt, then C5 augmentation.
+"""Pseudosplit completion: one split-completion call, then C5 augmentation.
 
-For each 5-set X whose induced subgraph embeds into a C5, the augmented
-instance makes X a clique, adds a forcing set A of budget+2 vertices adjacent
-exactly to N[X], and asks for a split completion with budget adjusted by the
-edges X is missing from a C5.  A minimal augmented solution converts back by
-restoring the C5 edges inside X.
+A pseudosplit graph is split, or splits into a clique C, an independent set
+I and an induced C5 on X, complete to C and anticomplete to I.  So a
+minimum completion is the split optimum or, for some 5-set X whose induced
+subgraph embeds into a C5 (a *seed*), the edges X misses from a C5 (its
+*deficit*) plus the optimum of X's augmented instance: X made a clique, a
+forcing set A of budget+2 vertices adjacent exactly to N[X], and a split
+completion asked for with budget reduced by the deficit.  A minimal
+augmented solution converts back by restoring the C5 edges inside X.
+
+Seeds only have to beat the best answer so far, so each is solved once, at a
+cap that only shrinks, and a seed whose cheapest possible completion already
+exceeds the cap is never built (:func:`_seed_lower_bound`).
 """
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from typing import Optional
 
 from .graph import (
     CertificationError,
     CompletionSet,
     Graph,
+    Pattern,
+    _place,
+    _placement_plan,
     bits,
     components,
     edges_within,
+    missing_edges_between,
+    non_edges_within,
+    union_neighborhoods,
 )
 from .oracles import exact_split_completion
 from .recognition import is_pseudosplit, is_split
@@ -50,19 +66,53 @@ def _embeds_in_c5(g: Graph, x_mask: int) -> bool:
     return True
 
 
-def enumerate_c5_seeds(g: Graph) -> list[int]:
-    """All 5-subsets (as masks) embeddable into a C5, in mask order."""
-    out = []
-    vs = list(range(g.n))
-    from itertools import combinations
+@functools.cache
+def _seed_plans(deficit: int) -> tuple:
+    """One placement plan per isomorphism class of the spanning subgraphs of
+    C5 with ``5 - deficit`` edges: C5, P5, P4+K1 and P3+K2, ... down to 5K1."""
+    plans = []
+    seen = set()
+    for kept in combinations(Pattern.C5.edges, 5 - deficit):
+        canonical = min(tuple(sorted(tuple(sorted((s[i], s[j]))) for i, j in kept))
+                        for s in permutations(range(5)))
+        if canonical in seen:
+            continue
+        seen.add(canonical)
+        rows = [0] * 5
+        for i, j in kept:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        plans.append(_placement_plan(tuple(rows), range(5)))
+    return tuple(plans)
 
-    for combo in combinations(vs, 5):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        if _embeds_in_c5(g, mask):
-            out.append(mask)
+
+def enumerate_c5_seeds(g: Graph, deficit: Optional[int] = None) -> list[int]:
+    """5-subsets (as masks) whose induced subgraph embeds into a C5, in mask order.
+
+    With ``deficit`` only those missing exactly that many C5 edges, i.e. with
+    ``5 - deficit`` edges inside.  Each induced pattern is placed role by role
+    over bitmasks (as in :func:`~fcomplete.graph.occurrence_masks`), so the
+    work follows the sets found, not the ``C(n, 5)`` subsets.
+    """
+    if deficit is not None and not 0 <= deficit <= 5:
+        raise ValueError(f"deficit must be in 0..5, got {deficit}")
+    out: list[int] = []
+    pins = (g.vertices,) * 5
+    for d in range(6) if deficit is None else (deficit,):
+        for plan in _seed_plans(d):
+            _place(g.adj, plan, pins, out)
     return sorted(out)
+
+
+def _seed_lower_bound(g: Graph, x_mask: int) -> int:
+    """Additions any completion with its C5 on X needs.
+
+    Besides X's deficit, every G-neighbour of X outside X lies in the clique
+    side, so it must be made complete to X and to the other such neighbours.
+    """
+    outside = union_neighborhoods(g, x_mask) & ~x_mask
+    return (5 - edges_within(g, x_mask) + missing_edges_between(g, x_mask, outside)
+            + non_edges_within(g, outside))
 
 
 def c5_supergraph_pairs(g: Graph, x_mask: int) -> list[tuple[int, int]]:
@@ -153,51 +203,79 @@ def i_maximal_partitions(g: Graph) -> list[tuple[int, int]]:
     return out
 
 
-def pseudosplit_complete(g: Graph, k: int,
-                         trace: Optional[list] = None) -> Optional[CompletionSet]:
+def _lift(g: Graph, aug: AugmentedInstance, sol: CompletionSet,
+          trace: Optional[list]) -> CompletionSet:
+    """Convert an augmented solution back: minimalize it, check it avoids
+    the forcing vertices, and add X's missing C5 edges."""
+    minimal = _minimalize(aug.graph, sol.pairs)
+    if trace is not None:
+        trace.append((aug, minimal))
+    base = g.vertices
+    if not all((1 << u) & base and (1 << v) & base for u, v in minimal):
+        raise CertificationError(
+            "minimal augmented solution touches a forcing vertex")
+    pairs = set(minimal)
+    for u, v in c5_supergraph_pairs(g, aug.x_mask):
+        if not g.has_edge(u, v):
+            pairs.add((u, v))
+    return CompletionSet(tuple(pairs), "addition")
+
+
+def pseudosplit_complete(g: Graph, k: int, trace: Optional[list] = None,
+                         stats: Optional[dict] = None) -> Optional[CompletionSet]:
     """Minimum pseudosplit completion of size <= k, or None.
 
-    Budgets are tried upward; at each budget the plain split route runs
-    first, then the C5 seeds in lexicographic order with early exit.  When
+    One split call at budget ``k`` gives the split optimum (the oracle
+    deepens).  Then the C5 seeds run by deficit, each at most once: its
+    augmented instance is built at ``cap``, one below the best answer so far
+    (``k`` while there is none), unless :func:`_seed_lower_bound` exceeds
+    ``cap``; every answer it yields is better, and lowers ``cap``.  When
     ``trace`` is given, every minimal augmented solution encountered is
-    appended as (instance, minimal pair tuple).
+    appended as (instance, minimal pair tuple).  ``stats`` (optional dict)
+    receives ``seeds`` (seeds listed), ``bounded_out`` (seeds skipped by the
+    bound), ``augmented`` (instances built), ``split_calls`` and ``elapsed``.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
-    seeds = None
-    for budget in range(k + 1):
-        direct = exact_split_completion(g, budget)
-        if direct is not None:
-            if not is_pseudosplit(direct.apply(g))[0]:
-                raise CertificationError("split completion is not pseudosplit")
-            return direct
-        if seeds is None:
-            # A seed's C5 deficit is the budget its augmented instance spends
-            # up front; seeds it does not fit are skipped before any build.
-            seeds = [(x, 5 - edges_within(g, x)) for x in enumerate_c5_seeds(g)]
-        for x_mask, deficit in seeds:
-            if deficit > budget:
+    t0 = time.perf_counter()
+    seeds = bounded_out = augmented = split_calls = 0
+    if is_pseudosplit(g)[0]:
+        best: Optional[CompletionSet] = CompletionSet((), "addition")
+        cap = -1
+    else:
+        best = exact_split_completion(g, k)
+        split_calls = 1
+        cap = k if best is None else best.size - 1
+    deficit = 0
+    while deficit <= min(cap, 5):
+        found = enumerate_c5_seeds(g, deficit)
+        seeds += len(found)
+        for x_mask in found:
+            if deficit > cap:
+                break
+            if _seed_lower_bound(g, x_mask) > cap:
+                bounded_out += 1
                 continue
-            aug = build_augmented_instance(g, budget, x_mask)
+            aug = build_augmented_instance(g, cap, x_mask)
+            augmented += 1
+            split_calls += 1
             sol = exact_split_completion(aug.graph, aug.budget)
             if sol is None:
                 continue
-            minimal = _minimalize(aug.graph, sol.pairs)
-            if trace is not None:
-                trace.append((aug, minimal))
-            base = g.vertices
-            if not all((1 << u) & base and (1 << v) & base for u, v in minimal):
+            best = _lift(g, aug, sol, trace)
+            if best.size > cap:
                 raise CertificationError(
-                    "minimal augmented solution touches a forcing vertex")
-            pairs = set(minimal)
-            for u, v in c5_supergraph_pairs(g, x_mask):
-                if not g.has_edge(u, v):
-                    pairs.add((u, v))
-            result = CompletionSet(tuple(pairs), "addition")
-            if result.size > budget:
-                raise CertificationError(
-                    f"pseudosplit answer has {result.size} pairs, budget {budget}")
-            if not is_pseudosplit(result.apply(g))[0]:
-                raise CertificationError("pseudosplit answer is not pseudosplit")
-            return result
-    return None
+                    f"pseudosplit answer has {best.size} pairs, cap {cap}")
+            cap = best.size - 1
+        deficit += 1
+    if best is not None and best.size:
+        if best.size > k:
+            raise CertificationError(
+                f"pseudosplit answer has {best.size} pairs, budget {k}")
+        if not is_pseudosplit(best.apply(g))[0]:
+            raise CertificationError("pseudosplit answer is not pseudosplit")
+    if stats is not None:
+        stats.update({"seeds": seeds, "bounded_out": bounded_out,
+                      "augmented": augmented, "split_calls": split_calls,
+                      "elapsed": time.perf_counter() - t0})
+    return best

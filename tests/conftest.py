@@ -5,12 +5,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from fcomplete.graph import CompletionSet, Graph, bits
 
 
 def pair_list(n):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+@st.composite
+def graphs(draw, max_n):
+    """Hypothesis strategy: a labeled graph on at most ``max_n`` vertices."""
+    n = draw(st.integers(0, max_n))
+    pairs = pair_list(n)
+    return graph_from_mask(n, draw(st.integers(0, (1 << len(pairs)) - 1)),
+                           pairs)
 
 
 def graph_from_mask(n, emask, pairs=None):

@@ -82,6 +82,18 @@ def test_solve_stats_from_oracle(c4_file, capsys, argv):
         assert key in err
 
 
+def test_solve_stats_from_pseudosplit(tmp_path, capsys):
+    p = tmp_path / "two_k2.graph"
+    p.write_text("4 2\n0 1\n2 3\n")
+    assert main(["solve", str(p), "--problem", "pseudosplit", "--optimize",
+                 "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("OPT 1\n")
+    for key in ("seeds=", "bounded_out=", "augmented=", "split_calls=1",
+                "elapsed="):
+        assert key in captured.err
+
+
 def test_solve_stats_on_threshold_fallback(tmp_path, capsys):
     # past the coloring guard (4^10): auto runs the DP, subexp is an error
     p = tmp_path / "c4_plus.graph"

@@ -1,11 +1,15 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcomplete import pseudosplit
 from fcomplete.graph import Graph, Pattern, bits, edges_within, mask_of
-from fcomplete.oracles import exact_completion
+from fcomplete.oracles import exact_completion, exact_split_completion
 from fcomplete.pseudosplit import (
+    _embeds_in_c5,
     build_augmented_instance,
     c5_supergraph_pairs,
     enumerate_c5_seeds,
@@ -14,7 +18,15 @@ from fcomplete.pseudosplit import (
 )
 from fcomplete.recognition import is_pseudosplit, is_split
 
-from conftest import cycle_graph, graph_from_mask, opt_size, path_graph, random_graph
+from conftest import (
+    cycle_graph,
+    graph_from_mask,
+    graphs,
+    opt_size,
+    path_graph,
+    proper_pseudosplit_graph,
+    random_graph,
+)
 
 PSEUDO = (Pattern.TWO_K2, Pattern.C4)
 
@@ -34,6 +46,24 @@ def test_seed_rejects_non_embeddable():
     # vertex of degree 3 cannot embed either
     star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
     assert enumerate_c5_seeds(star) == []
+
+
+def test_seeds_by_deficit_match_subset_scan():
+    rng = random.Random(61)
+    for n in range(11):
+        for _ in range(12):
+            g = random_graph(rng, n, rng.random())
+            scan = sorted(mask_of(c) for c in combinations(range(n), 5)
+                          if _embeds_in_c5(g, mask_of(c)))
+            by_deficit = []
+            for d in range(6):
+                found = enumerate_c5_seeds(g, d)
+                assert all(5 - edges_within(g, x) == d for x in found)
+                by_deficit.extend(found)
+            assert sorted(by_deficit) == scan
+            assert enumerate_c5_seeds(g) == scan
+    with pytest.raises(ValueError):
+        enumerate_c5_seeds(cycle_graph(5), 6)
 
 
 def test_c5_supergraph_pairs():
@@ -105,6 +135,57 @@ def test_no_augmented_instance_with_negative_budget(monkeypatch):
     assert built and min(built) >= 0
 
 
+@pytest.mark.parametrize("drop", [(0, 5), (5, 6)])
+def test_seed_bound_met_exactly(drop):
+    # C5 joined to the clique {5, 6}, less one join or clique edge: the C5
+    # seed's bound is 1, the budget, and the split optimum is larger
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(5, 6)]
+    edges += [(x, c) for x in range(5) for c in (5, 6)]
+    g = Graph.from_edges(7, [e for e in edges if e != drop])
+    assert exact_split_completion(g, 21).size > 1
+    assert pseudosplit_complete(g, 1).pairs == (drop,)
+
+
+def test_optimize_with_large_split_optimum():
+    # 5K2: split optimum 10, so the cap leaves every deficit 0..5 open
+    matching = Graph.from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)])
+    full = 10 * 9 // 2
+    assert exact_split_completion(matching, full).size == 10
+    stats = {}
+    sol = pseudosplit_complete(matching, full, stats=stats)
+    assert sol.size == opt_size(exact_completion(matching, PSEUDO, full))
+    assert stats["augmented"] > 0
+    assert stats["split_calls"] == stats["augmented"] + 1
+    assert stats["seeds"] >= stats["bounded_out"] + stats["augmented"]
+
+
+def test_augmented_budgets_stay_below_split_optimum(monkeypatch):
+    budgets = []
+
+    def recording_build(g, k, x_mask):
+        budgets.append(k)
+        return build_augmented_instance(g, k, x_mask)
+
+    monkeypatch.setattr(pseudosplit, "build_augmented_instance", recording_build)
+    rng = random.Random(67)
+    graphs_seen = [Graph.from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)])]
+    for _ in range(20):
+        g = proper_pseudosplit_graph(rng, rng.randrange(1, 4), rng.randrange(0, 3))
+        graphs_seen.append(g.remove_edges(rng.sample(list(g.edges()), 2)))
+    for g in graphs_seen:
+        budgets.clear()
+        full = g.n * (g.n - 1) // 2
+        split_opt = exact_split_completion(g, full).size
+        pseudosplit_complete(g, full)
+        assert all(b < split_opt for b in budgets)
+
+
+def test_stats_on_pseudosplit_input():
+    stats = {}
+    assert pseudosplit_complete(cycle_graph(5), 3, stats=stats).size == 0
+    assert stats["split_calls"] == 0 and stats["augmented"] == 0
+
+
 def _check_augmented_structure(g, aug, pairs):
     h = aug.graph.add_edges(pairs)
     closed_x = aug.x_mask
@@ -151,3 +232,28 @@ def test_solution_stays_in_host():
             continue
         assert all(u < g.n and v < g.n for u, v in sol.pairs)
         assert is_pseudosplit(sol.apply(g))[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graphs(8), st.integers(0, 5))
+def test_property_agrees_with_oracle(g, k):
+    assert opt_size(pseudosplit_complete(g, k)) == \
+        opt_size(exact_completion(g, PSEUDO, k))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_property_opt_invariant_under_relabelling(data):
+    g = data.draw(graphs(8))
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert opt_size(pseudosplit_complete(h, 5)) == opt_size(pseudosplit_complete(g, 5))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs(8))
+def test_property_yes_monotone_in_budget(g):
+    answers = [opt_size(pseudosplit_complete(g, k)) for k in range(6)]
+    yes = [a is not None for a in answers]
+    assert yes == sorted(yes)
+    assert len({a for a in answers if a is not None}) <= 1

@@ -26,8 +26,8 @@ from fcomplete.threshold_subexp import (
 
 from conftest import (
     graph_from_mask,
+    graphs,
     opt_size,
-    pair_list,
     path_graph,
     random_graph,
     random_threshold_graph,
@@ -247,14 +247,6 @@ def test_dp_deep_recursion_is_a_state_cap_error():
             threshold_complete(matching, 80 * 79 // 2)
     finally:
         sys.setrecursionlimit(old)
-
-
-@st.composite
-def graphs(draw, max_n):
-    n = draw(st.integers(0, max_n))
-    pairs = pair_list(n)
-    return graph_from_mask(n, draw(st.integers(0, (1 << len(pairs)) - 1)),
-                           pairs)
 
 
 # k <= 4 keeps the exhaustive coloring family under its guard at n = 8
