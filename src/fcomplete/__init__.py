@@ -1,6 +1,7 @@
 """Exact solvers for F-Completion graph modification problems."""
 
 from .graph import (
+    FAMILIES,
     CertificationError,
     CompletionSet,
     Graph,
@@ -41,6 +42,7 @@ from .recognition import (
     is_threshold,
     is_trivially_perfect,
 )
+from .solve import problem_family, solve
 from .threshold_subexp import (
     class_partitions,
     threshold_complete,

@@ -9,7 +9,6 @@ from typing import Optional, Sequence
 
 from . import reductions
 from .graph import (
-    CompletionSet,
     Graph,
     GraphFormatError,
     Pattern,
@@ -20,7 +19,6 @@ from .graph import (
     parse_graph,
 )
 from .oracles import exact_completion
-from .pseudosplit import pseudosplit_complete
 from .recognition import (
     blocks_of,
     build_ucd,
@@ -29,21 +27,10 @@ from .recognition import (
     is_threshold,
     is_trivially_perfect,
 )
-from .threshold_subexp import (
-    StateCapError,
-    threshold_complete,
-    threshold_complete_coloring,
-)
-from .tp_subexp import format_stats, tp_complete
+from .solve import ALGOS, format_stats, problem_family, solve
+from .threshold_subexp import StateCapError
 
 EXIT_YES, EXIT_NO, EXIT_ERROR = 0, 1, 2
-
-_PROBLEM_PATTERNS = {
-    "tp": (Pattern.C4, Pattern.P4),
-    "threshold": (Pattern.TWO_K2, Pattern.C4, Pattern.P4),
-    "pseudosplit": (Pattern.TWO_K2, Pattern.C4),
-    "split": (Pattern.TWO_K2, Pattern.C4, Pattern.C5),
-}
 
 
 class CliError(Exception):
@@ -58,20 +45,6 @@ def _read_graph(path: str) -> Graph:
         raise CliError(f"cannot read {path}: {exc}")
     except GraphFormatError as exc:
         raise CliError(f"{path}: {exc}")
-
-
-def _parse_problem(label: str):
-    if label in _PROBLEM_PATTERNS:
-        return label, _PROBLEM_PATTERNS[label]
-    if label.startswith("ffree:"):
-        labels = [s for s in label[len("ffree:"):].split(",") if s]
-        if not labels:
-            raise CliError("ffree requires an explicit pattern list")
-        try:
-            return "ffree", tuple(Pattern.from_label(s) for s in labels)
-        except ValueError as exc:
-            raise CliError(str(exc))
-    raise CliError(f"unknown problem {label!r}")
 
 
 def _budget(args, g: Graph) -> int:
@@ -104,35 +77,17 @@ def _emit(args, text: str) -> None:
 
 def run_solve(args) -> int:
     g = _read_graph(args.input)
-    problem, patterns = _parse_problem(args.problem)
     k = _budget(args, g)
-    seed = _seed(args)
-    if args.trials is not None and args.trials < 1:
-        raise CliError(f"--trials must be at least 1, got {args.trials}")
     stats: Optional[dict] = {} if args.stats else None
-    algo = args.algo
-    solution: Optional[CompletionSet]
-    if problem == "ffree" or algo == "branch" or problem == "split":
-        solution = exact_completion(g, patterns, k, stats=stats)
-    elif problem == "tp":
-        solution = tp_complete(g, k, stats=stats)
-    elif problem == "threshold":
-        try:
-            if algo == "subexp":
-                solution = threshold_complete_coloring(
-                    g, k, mode=args.coloring_mode, trials=args.trials,
-                    seed=seed, stats=stats)
-            else:
-                solution = threshold_complete(g, k, stats=stats)
-        except (ValueError, StateCapError) as exc:
-            raise CliError(str(exc))
-    elif problem == "pseudosplit":
-        solution = pseudosplit_complete(g, k, stats=stats)
-    else:  # pragma: no cover
-        raise CliError(f"unhandled problem {problem}")
+    try:
+        solution = solve(g, args.problem, k, args.algo, stats,
+                         coloring_mode=args.coloring_mode,
+                         trials=args.trials, seed=_seed(args))
+    except (ValueError, StateCapError) as exc:
+        raise CliError(str(exc))
     if args.verify and solution is not None:
         solution.validate_against(g)
-        if not is_f_free(solution.apply(g), patterns):
+        if not is_f_free(solution.apply(g), problem_family(args.problem)):
             raise CliError("internal error: solution failed verification")
     if stats is not None:
         sys.stderr.write(format_stats(stats))
@@ -219,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int, default=None)
     solve.add_argument("--optimize", action="store_true",
                        help="ignore --k and find the optimum")
-    solve.add_argument("--algo", choices=("auto", "subexp", "branch"),
-                       default="auto")
+    solve.add_argument("--algo", choices=ALGOS, default="auto")
     solve.add_argument("--coloring-mode", choices=("exhaustive", "randomized"),
                        default="exhaustive")
     solve.add_argument("--trials", type=int, default=None)

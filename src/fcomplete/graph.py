@@ -117,6 +117,14 @@ for _p in Pattern:
         _rows[_j] |= 1 << _i
     _PATTERN_ADJ[_p] = tuple(_rows)
 
+# Obstruction family of each named F-Completion problem.
+FAMILIES = {
+    "tp": (Pattern.C4, Pattern.P4),
+    "threshold": (Pattern.TWO_K2, Pattern.C4, Pattern.P4),
+    "pseudosplit": (Pattern.TWO_K2, Pattern.C4),
+    "split": (Pattern.TWO_K2, Pattern.C4, Pattern.C5),
+}
+
 
 class Graph:
     """Immutable simple undirected graph with bitset adjacency."""

@@ -1,13 +1,17 @@
-"""Exact reference solvers.
+"""The branching oracle and other exact solvers.
 
 * :func:`exact_completion` - bounded search tree (Cai-style branching) for any
-  finite obstruction family, in addition or deletion mode.
+  finite obstruction family, in addition or deletion mode.  It builds the
+  obstruction index of the input once and deepens the budget from 0; every
+  level runs the same indexed search, whose packing bound refutes the levels
+  below the optimum.
 * :func:`exact_chain_completion` - exact chain completion over a fixed
   bipartition by subset dynamic programming.
 * :func:`exact_split_completion` - split completion via branching on
   {2K2, C4, C5}.
-* :func:`enumerate_minimal_completions` / :func:`minimal_solutions_within` -
-  enumerators of inclusion-minimal solutions, used as test harnesses.
+* :func:`minimal_solutions_within` - every inclusion-minimal solution, by the
+  same search without stopping at the first; :func:`enumerate_minimal_completions`
+  is the independent subset-scan reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .graph import (
+    FAMILIES,
     CertificationError,
     CompletionSet,
     Graph,
@@ -24,7 +29,6 @@ from .graph import (
     bits,
     is_f_free,
     occurrence_masks,
-    occurrences,
 )
 
 # Subset-DP guard: the chain solver is exponential in |A|.
@@ -36,33 +40,6 @@ _SCAN_NON_EDGE_LIMIT = 24
 
 def _sorted_patterns(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
     return tuple(sorted(set(patterns), key=lambda p: (p.order, p.value)))
-
-
-def _truncated_packing(g: Graph, patterns, mode: str,
-                       stop_above: int) -> Optional[int]:
-    """Cheap lower bound on the edit distance, or None when g is F-free.
-
-    Greedy packing of obstructions with disjoint branch-pair sets over the
-    first ``40 + 8 * stop_above`` role tuples only; stops once it exceeds
-    ``stop_above``.
-    """
-    used: set[tuple[int, int]] = set()
-    count = 0
-    visits = 40 + 8 * stop_above
-    for pattern in patterns:
-        roles = pattern.non_edges if mode == "addition" else pattern.edges
-        for occ in occurrences(g, pattern):
-            pairs = [(occ[i], occ[j]) if occ[i] < occ[j] else (occ[j], occ[i])
-                     for i, j in roles]
-            visits -= 1
-            if not any(p in used for p in pairs):
-                used.update(pairs)
-                count += 1
-                if count > stop_above:
-                    return count
-            if visits <= 0:
-                return count
-    return count if used else None
 
 
 class _Search:
@@ -206,14 +183,12 @@ def exact_completion(g: Graph, patterns: Iterable[Pattern], k: int,
     """Minimum edit set of size <= k making g F-free, or None.
 
     Iterative deepening over the budget guarantees the first success is a
-    minimum.  Each level first tries the truncated packing at the root
-    (:func:`_truncated_packing`); only when that neither finds g F-free nor
-    refutes the level is the obstruction index built (once per call) and the
-    search run on it.  Branching is deterministic, so search trees are
-    reproducible.  ``stats`` (optional dict) receives ``nodes`` (roots plus
-    edited graphs), ``prunes`` (packing-bound cut-offs), ``budgets`` (levels
-    run), ``index_sets`` (root obstruction sets, 0 if no index was built) and
-    ``elapsed``.  The answer is certified before it is returned.
+    minimum.  The obstruction index of g is built once, before level 0, and
+    every level searches on it.  Branching is deterministic, so search trees
+    are reproducible.  ``stats`` (optional dict) receives ``nodes`` (roots
+    plus edited graphs), ``prunes`` (packing-bound cut-offs), ``budgets``
+    (levels run), ``index_sets`` (root obstruction sets) and ``elapsed``.
+    The answer is certified before it is returned.
     """
     if mode not in ("addition", "deletion"):
         raise ValueError(f"bad mode {mode!r}")
@@ -229,21 +204,12 @@ def exact_completion(g: Graph, patterns: Iterable[Pattern], k: int,
         raise ValueError("budget must be non-negative")
     t0 = time.perf_counter()
     search = _Search(g.n, pats, mode)
-    index = None
+    index = search.index(g)
     found = None
     budgets = 0
     for budget in range(k + 1):
         budgets += 1
         search.nodes += 1
-        if index is None:
-            lower = _truncated_packing(g, pats, mode, budget)
-            if lower is None:
-                found = ()
-                break
-            if lower > budget:
-                search.prunes += 1
-                continue
-            index = search.index(g)
         hits = search.solutions(g, index, budget, first_only=True)
         if hits:
             found = hits[0]
@@ -259,7 +225,7 @@ def exact_completion(g: Graph, patterns: Iterable[Pattern], k: int,
     if stats is not None:
         stats.update({"nodes": search.nodes, "prunes": search.prunes,
                       "budgets": budgets,
-                      "index_sets": 0 if index is None else sum(map(len, index)),
+                      "index_sets": sum(map(len, index)),
                       "elapsed": time.perf_counter() - t0})
     return result
 
@@ -283,7 +249,7 @@ def minimal_solutions_within(g: Graph, patterns: Iterable[Pattern], k: int,
 
 def exact_split_completion(g: Graph, k: int) -> Optional[CompletionSet]:
     """Minimum split completion by branching on {2K2, C4, C5}."""
-    return exact_completion(g, (Pattern.TWO_K2, Pattern.C4, Pattern.C5), k)
+    return exact_completion(g, FAMILIES["split"], k)
 
 
 def exact_chain_completion(a_side: int, b_side: int, g: Graph,

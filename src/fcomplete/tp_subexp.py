@@ -457,7 +457,8 @@ def tp_complete(g: Graph, k: int,
 
     Runs the kernel / family / block / DP pipeline per connected component
     and sums the per-component optima.  Each component's candidate family is
-    ``near_clique_family(part, k, prune_dominated=True)``.
+    ``near_clique_family(part, k, prune_dominated=True)``.  ``stats`` gets
+    ``value`` (None when nothing fits) and ``elapsed`` on every return.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
@@ -470,6 +471,7 @@ def tp_complete(g: Graph, k: int,
     kernel = kernelize(g, k)
     total = 0
     all_pairs: list[tuple[int, int]] = []
+    result: Optional[CompletionSet] = None
     for part, ids in kernel.parts:
         fam = near_clique_family(part, k, prune_dominated=True)
         blocks = build_blocks(fam.tags, part, k)
@@ -478,31 +480,15 @@ def tp_complete(g: Graph, k: int,
             stats["family"] += len(fam)
             stats["blocks"] += len(blocks)
             stats["dp_pairs"] += len(sol.table) if sol else 0
-        if sol is None:
-            return None
+        if sol is None or total + sol.value > k:
+            break
         total += sol.value
-        if total > k:
-            return None
         all_pairs.extend((ids[u], ids[v]) for u, v in sol.completion.pairs)
-    result = CompletionSet(tuple(all_pairs), "addition")
-    if not is_trivially_perfect(result.apply(g)):
-        raise CertificationError("tp_complete answer is not trivially perfect")
+    else:
+        result = CompletionSet(tuple(all_pairs), "addition")
+        if not is_trivially_perfect(result.apply(g)):
+            raise CertificationError("tp_complete answer is not trivially perfect")
     if stats is not None:
-        stats["value"] = total
+        stats["value"] = None if result is None else total
         stats["elapsed"] = time.perf_counter() - t0
     return result
-
-
-def format_stats(stats: dict) -> str:
-    """Render a stats dict as the key=value text block used by the CLI."""
-    keys = ["n", "k", "family", "blocks", "dp_pairs", "fallbacks", "value",
-            "elapsed"]
-    lines = []
-    for key in keys:
-        if key in stats:
-            val = stats[key]
-            if isinstance(val, float):
-                val = f"{val:.3f}"
-            lines.append(f"{key}={val}")
-    lines.extend(f"{k}={v}" for k, v in stats.items() if k not in keys)
-    return "\n".join(lines) + "\n"

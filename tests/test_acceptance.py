@@ -10,6 +10,7 @@ import time
 from itertools import combinations, permutations, product
 
 from fcomplete.graph import (
+    FAMILIES,
     Graph,
     Pattern,
     bits,
@@ -64,10 +65,10 @@ from conftest import (
     random_threshold_graph,
 )
 
-TP = (Pattern.C4, Pattern.P4)
-THRESHOLD = (Pattern.TWO_K2, Pattern.C4, Pattern.P4)
+TP = FAMILIES["tp"]
+THRESHOLD = FAMILIES["threshold"]
 THRESHOLD_ENGINES = (threshold_complete, threshold_complete_coloring)
-PSEUDO = (Pattern.TWO_K2, Pattern.C4)
+PSEUDO = FAMILIES["pseudosplit"]
 
 
 def _passed(num, name):

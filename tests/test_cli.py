@@ -86,12 +86,29 @@ def test_solve_stats_from_pseudosplit(tmp_path, capsys):
     p = tmp_path / "two_k2.graph"
     p.write_text("4 2\n0 1\n2 3\n")
     assert main(["solve", str(p), "--problem", "pseudosplit", "--optimize",
-                 "--stats"]) == 0
+                 "--algo", "subexp", "--stats"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("OPT 1\n")
     for key in ("seeds=", "bounded_out=", "augmented=", "split_calls=1",
                 "elapsed="):
         assert key in captured.err
+
+
+def test_solve_pseudosplit_auto_runs_the_oracle(tmp_path, capsys):
+    p = tmp_path / "two_k2.graph"
+    p.write_text("4 2\n0 1\n2 3\n")
+    assert main(["solve", str(p), "--problem", "pseudosplit", "--optimize",
+                 "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("OPT 1\n")
+    assert "nodes=" in captured.err and "seeds=" not in captured.err
+
+
+def test_solve_tp_no_stats(c4_file, capsys):
+    assert main(["solve", c4_file, "--problem", "tp", "--k", "0", "--stats"]) == 1
+    err = capsys.readouterr().err
+    assert "value=None" in err and "elapsed=None" not in err
+    assert re.search(r"^elapsed=\d+\.\d{3}$", err, re.M)
 
 
 def test_solve_stats_on_threshold_fallback(tmp_path, capsys):
@@ -139,7 +156,11 @@ def test_bad_inputs(tmp_path, capsys):
     good.write_text("2 0\n")
     assert main(["solve", str(good), "--problem", "ffree:", "--k", "1"]) == 2
     assert main(["solve", str(good), "--problem", "tp"]) == 2
-    capsys.readouterr()
+    assert main(["solve", str(good), "--problem", "nope", "--k", "1"]) == 2
+    assert main(["solve", str(good), "--problem", "tp", "--k", "1",
+                 "--trials", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown problem 'nope'" in err and "trials must be at least 1" in err
 
 
 def test_generate_and_reparse(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from fcomplete import oracles
 from fcomplete.graph import (
+    FAMILIES,
     CertificationError,
     Graph,
     Pattern,
@@ -33,10 +34,10 @@ from conftest import (
     random_graph,
 )
 
-TP = (Pattern.C4, Pattern.P4)
-THRESHOLD = (Pattern.TWO_K2, Pattern.C4, Pattern.P4)
-SPLIT = (Pattern.TWO_K2, Pattern.C4, Pattern.C5)
-PSEUDO = (Pattern.TWO_K2, Pattern.C4)
+TP = FAMILIES["tp"]
+THRESHOLD = FAMILIES["threshold"]
+SPLIT = FAMILIES["split"]
+PSEUDO = FAMILIES["pseudosplit"]
 MODES = ("addition", "deletion")
 
 
@@ -50,9 +51,8 @@ def test_exact_completion_examples():
     # the end-to-end edge would close a C4, so it is never chosen
     assert sol.pairs != ((0, 3),)
     c5 = cycle_graph(5)
-    pats = (Pattern.TWO_K2, Pattern.C4, Pattern.C5)
-    assert exact_completion(c5, pats, 1) is None
-    sol = exact_completion(c5, pats, 2)
+    assert exact_completion(c5, SPLIT, 1) is None
+    sol = exact_completion(c5, SPLIT, 2)
     assert sol.size == 2
     free = path_graph(3)
     assert exact_completion(free, TP, 0).size == 0
@@ -291,10 +291,15 @@ def test_oracle_stats_record():
     assert set(stats) == {"nodes", "prunes", "budgets", "index_sets", "elapsed"}
     assert stats["budgets"] == 3 and stats["index_sets"] == 1
     assert stats["nodes"] >= stats["budgets"] and stats["prunes"] >= 2
-    # a budget refuted by the cheap root check builds no index
+    # a budget below the packing bound is refuted at the root, on the index
     stats = {}
     assert exact_completion(cycle_graph(5), SPLIT, 0, stats=stats) is None
-    assert stats == {"nodes": 1, "prunes": 1, "budgets": 1, "index_sets": 0,
+    assert stats == {"nodes": 1, "prunes": 1, "budgets": 1, "index_sets": 1,
+                     "elapsed": stats["elapsed"]}
+    # an F-free input has an empty index and is answered at the root
+    stats = {}
+    assert exact_completion(path_graph(3), SPLIT, 2, stats=stats).size == 0
+    assert stats == {"nodes": 1, "prunes": 0, "budgets": 1, "index_sets": 0,
                      "elapsed": stats["elapsed"]}
 
 

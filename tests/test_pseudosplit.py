@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcomplete import pseudosplit
-from fcomplete.graph import Graph, Pattern, bits, edges_within, mask_of
+from fcomplete.graph import FAMILIES, Graph, bits, edges_within, mask_of
 from fcomplete.oracles import exact_completion, exact_split_completion
 from fcomplete.pseudosplit import (
     _embeds_in_c5,
@@ -28,7 +28,7 @@ from conftest import (
     random_graph,
 )
 
-PSEUDO = (Pattern.TWO_K2, Pattern.C4)
+PSEUDO = FAMILIES["pseudosplit"]
 
 
 def test_seed_examples():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fcomplete.graph import Graph, Pattern, bits, is_f_free, mask_of, set_of
+from fcomplete.graph import FAMILIES, Graph, Pattern, bits, is_f_free, mask_of, set_of
 from fcomplete.recognition import (
     NotSplitError,
     NotTriviallyPerfectError,
@@ -179,13 +179,15 @@ def test_pseudosplit_witness_conditions():
 
 
 def test_recognition_matches_obstructions_all_n_le_6():
-    threshold_pats = (Pattern.TWO_K2, Pattern.C4, Pattern.P4)
-    pseudo_pats = (Pattern.TWO_K2, Pattern.C4)
+    # the recognizers are independent of the obstruction table they check
+    threshold_pats = FAMILIES["threshold"]
+    pseudo_pats = FAMILIES["pseudosplit"]
     for n in range(1, 6):
         for g in all_graphs(n):
             assert is_threshold(g) == is_f_free(g, threshold_pats)
             assert is_pseudosplit(g)[0] == is_f_free(g, pseudo_pats)
-            assert is_trivially_perfect(g) == is_f_free(g, (Pattern.C4, Pattern.P4))
+            assert is_trivially_perfect(g) == is_f_free(g, FAMILIES["tp"])
+            assert is_split(g) == is_f_free(g, FAMILIES["split"])
     rng = random.Random(31)
     from conftest import graph_from_mask
     for _ in range(4000):

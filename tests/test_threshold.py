@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fcomplete import threshold_subexp
 from fcomplete.cli import main
-from fcomplete.graph import CertificationError, Graph, Pattern, bits
+from fcomplete.graph import FAMILIES, CertificationError, Graph, bits
 from fcomplete.oracles import exact_completion
 from fcomplete.recognition import is_threshold, split_partitions_within
 from fcomplete.threshold_subexp import (
@@ -33,7 +33,7 @@ from conftest import (
     random_threshold_graph,
 )
 
-THRESHOLD = (Pattern.TWO_K2, Pattern.C4, Pattern.P4)
+THRESHOLD = FAMILIES["threshold"]
 ENGINES = (threshold_complete, threshold_complete_coloring)
 
 

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from fcomplete import tp_subexp
-from fcomplete.graph import Graph, Pattern, bits, is_f_free, mask_of, non_edges_within
+from fcomplete.graph import FAMILIES, Graph, bits, is_f_free, mask_of, non_edges_within
 from fcomplete.oracles import enumerate_minimal_completions, exact_completion
 from fcomplete.recognition import blocks_of, build_ucd, is_trivially_perfect
+from fcomplete.solve import format_stats
 from fcomplete.tp_subexp import (
     FamilyLimitError,
     build_blocks,
@@ -17,7 +18,6 @@ from fcomplete.tp_subexp import (
     enumerate_type4,
     enumerate_vital_pmcs,
     fill_profile,
-    format_stats,
     kernelize,
     near_clique_family,
     sqrt_budgets,
@@ -36,7 +36,7 @@ from conftest import (
     random_graph,
 )
 
-TP = (Pattern.C4, Pattern.P4)
+TP = FAMILIES["tp"]
 
 
 def test_sqrt_budgets():
@@ -242,3 +242,7 @@ def test_stats_emission():
     text = format_stats(stats)
     assert "family=" in text and "blocks=" in text and "value=1" in text
     assert stats["family"] > 0
+    # a NO answer still records its time
+    stats = {}
+    assert tp_complete(cycle_graph(4), 0, stats=stats) is None
+    assert stats["value"] is None and isinstance(stats["elapsed"], float)
