@@ -7,6 +7,7 @@ from .graph import (
     Graph,
     GraphFormatError,
     Pattern,
+    StateCapError,
     complement,
     find_induced,
     format_graph,
@@ -58,6 +59,7 @@ from .tp_subexp import (
     enumerate_vital_pmcs,
     kernelize,
     tp_complete,
+    tp_complete_dp,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

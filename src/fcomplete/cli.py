@@ -12,6 +12,7 @@ from .graph import (
     Graph,
     GraphFormatError,
     Pattern,
+    StateCapError,
     bits,
     format_graph,
     format_solution,
@@ -28,7 +29,6 @@ from .recognition import (
     is_trivially_perfect,
 )
 from .solve import ALGOS, format_stats, problem_family, solve
-from .threshold_subexp import StateCapError
 
 EXIT_YES, EXIT_NO, EXIT_ERROR = 0, 1, 2
 
@@ -174,7 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int, default=None)
     solve.add_argument("--optimize", action="store_true",
                        help="ignore --k and find the optimum")
-    solve.add_argument("--algo", choices=ALGOS, default="auto")
+    solve.add_argument("--algo", choices=ALGOS, default="auto",
+                       help="auto: exact DPs for tp and threshold, the "
+                            "branching oracle otherwise; subexp: the paper's "
+                            "pipelines; branch: the oracle (default: auto)")
     solve.add_argument("--coloring-mode", choices=("exhaustive", "randomized"),
                        default="exhaustive")
     solve.add_argument("--trials", type=int, default=None)

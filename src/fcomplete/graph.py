@@ -26,6 +26,11 @@ class CertificationError(Exception):
     """
 
 
+class StateCapError(RuntimeError):
+    """An exact DP would store more memo states than its ``STATE_CAP``, or
+    recurse deeper than the interpreter allows."""
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -271,7 +276,9 @@ def occurrences(g: Graph, pattern: Pattern) -> Iterator[tuple[int, ...]]:
     full = g.vertices
     chosen = [0] * r
 
-    def extend(i: int, used: int) -> Iterator[tuple[int, ...]]:
+    # the recursion goes through an argument, not the closure: a function
+    # whose closure cell holds itself is a cycle only the collector frees
+    def extend(extend, i: int, used: int) -> Iterator[tuple[int, ...]]:
         cand = full & ~used
         for j in range(i):
             if padj[i] >> j & 1:
@@ -284,10 +291,10 @@ def occurrences(g: Graph, pattern: Pattern) -> Iterator[tuple[int, ...]]:
             if i + 1 == r:
                 yield tuple(chosen)
             else:
-                yield from extend(i + 1, used | low)
+                yield from extend(extend, i + 1, used | low)
             cand ^= low
 
-    yield from extend(0, 0)
+    yield from extend(extend, 0, 0)
 
 
 @functools.cache
@@ -350,7 +357,8 @@ def _place(gadj, plan, pins, out: list) -> None:
     r = len(order)
     chosen = [0] * r
 
-    def extend(t: int, mask: int) -> None:
+    # recursion through an argument, as in occurrences(): no closure cycle
+    def extend(extend, t: int, mask: int) -> None:
         adj_to, apart_from, above, below = steps[t]
         cand = pins[t] & ~mask
         for e in adj_to:
@@ -368,10 +376,10 @@ def _place(gadj, plan, pins, out: list) -> None:
             if t + 1 == r:
                 out.append(mask | low)
             else:
-                extend(t + 1, mask | low)
+                extend(extend, t + 1, mask | low)
             cand ^= low
 
-    extend(0, 0)
+    extend(extend, 0, 0)
 
 
 def occurrence_masks(g: Graph, pattern: Pattern,

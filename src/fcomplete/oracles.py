@@ -151,7 +151,8 @@ class _Search:
         n = self.n
         apply = Graph.add_edges if self.mode == "addition" else Graph.remove_edges
 
-        def dfs(cur: Graph, rem: int, key: int, acc) -> bool:
+        # recursion through an argument: no closure cycle for the collector
+        def dfs(dfs, cur: Graph, rem: int, key: int, acc) -> bool:
             pairs, lower = self.bound(index, rem)
             if pairs is None:
                 found.append(acc)
@@ -167,13 +168,13 @@ class _Search:
                 nxt = apply(cur, [(u, v)])
                 self.nodes += 1
                 record = self.edit(index, nxt, u, v)
-                done = dfs(nxt, rem - 1, nkey, acc + ((u, v),))
+                done = dfs(dfs, nxt, rem - 1, nkey, acc + ((u, v),))
                 self.undo(index, record)
                 if done:
                     return True
             return False
 
-        dfs(g, budget, 0, ())
+        dfs(dfs, g, budget, 0, ())
         return found
 
 

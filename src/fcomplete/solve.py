@@ -3,8 +3,9 @@
 Problems are the labels of :data:`graph.FAMILIES` (``tp``, ``threshold``,
 ``pseudosplit``, ``split``) and ``ffree:<patterns>``.  Engines per ``algo``:
 
-* ``auto``: ``tp_complete``, the peeling DP ``threshold_complete``, and the
-  oracle for ``pseudosplit``, ``split`` and ``ffree:``.
+* ``auto``: the root-choice DP ``tp_complete_dp``, the peeling DP
+  ``threshold_complete``, and the oracle for ``pseudosplit``, ``split`` and
+  ``ffree:``.
 * ``subexp``: the paper's pipelines ``tp_complete``,
   ``threshold_complete_coloring`` and ``pseudosplit_complete``; the oracle
   for ``split`` and ``ffree:``.
@@ -23,7 +24,7 @@ from .graph import FAMILIES, CompletionSet, Graph, Pattern
 from .oracles import exact_completion
 from .pseudosplit import pseudosplit_complete
 from .threshold_subexp import threshold_complete, threshold_complete_coloring
-from .tp_subexp import tp_complete
+from .tp_subexp import tp_complete, tp_complete_dp
 
 ALGOS = ("auto", "subexp", "branch")
 
@@ -49,14 +50,16 @@ def solve(g: Graph, problem: str, k: int, algo: str = "auto",
     engine (``threshold`` under ``subexp``); ``trials`` below 1 is a
     ValueError for every engine.  ``stats`` receives the chosen engine's
     record.  Raises ValueError on a bad label, ``algo`` or budget, and
-    ``StateCapError`` when the threshold DP exceeds its cap.
+    ``StateCapError`` when the TP or threshold DP exceeds its cap.
     """
     patterns = problem_family(problem)
     if algo not in ALGOS:
         raise ValueError(f"unknown algo {algo!r}; expected one of {ALGOS}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if problem == "tp" and algo != "branch":
+    if problem == "tp" and algo == "auto":
+        return tp_complete_dp(g, k, stats=stats)
+    if problem == "tp" and algo == "subexp":
         return tp_complete(g, k, stats=stats)
     if problem == "threshold" and algo == "auto":
         return threshold_complete(g, k, stats=stats)

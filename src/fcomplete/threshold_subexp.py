@@ -29,6 +29,7 @@ from .graph import (
     CertificationError,
     CompletionSet,
     Graph,
+    StateCapError,
     bits,
     non_edges_within,
 )
@@ -43,10 +44,6 @@ STATE_CAP = 1_000_000
 
 class ColoringGuardError(ValueError):
     """Exhaustive family would exceed the guard; suggests randomized mode."""
-
-
-class StateCapError(RuntimeError):
-    """The peeling DP would store more than ``STATE_CAP`` vertex sets."""
 
 
 def threshold_complete(g: Graph, k: int,

@@ -1,18 +1,29 @@
-"""Trivially perfect completion via a candidate-clique family and block DP.
+"""Trivially perfect completion: an exact root-choice DP and the paper's pipeline.
 
-Pipeline: kernelize (component split), build the candidate maximal cliques
-of every completion within budget, derive a block family from candidate
-triples, then run the block dynamic program and retrace an optimal edge set.
+:func:`tp_complete_dp` is the solver.  A connected trivially perfect graph
+has a universal vertex (Wolk, 1962), so for a connected vertex set S: the
+vertices U universal in G[S] are universal in every completion and cost
+nothing, and f(S) is the sum of f over the components of G[S \\ U];
+otherwise some optimal completion H of G[S] has a universal vertex v, and
+dropping the H-edges between different components of G[S - v] keeps H
+trivially perfect, a supergraph of G[S] and no larger, so
+f(S) = min over v of (|S|-1-deg_S(v)) plus the sum of f over those
+components.  This is the paper's block recursion (bag X, connected Y) with
+the bag grown one root vertex at a time.
 
-:func:`tp_complete` builds one candidate family per kernel component, the
-near-clique family (see :func:`near_clique_family`), which contains every
-maximal clique of a completion with at most k added edges.  The paper's
-Type 1-4 recipes (:func:`enumerate_vital_pmcs`) stay as the reference family
-that the superset tests check against; the solver does not run them.  The
-Type-3/4 enumerators realize their recipes with staged deduplication: the
-emitted set only depends on a handful of derived masks, so choices are
-grouped by those masks instead of being expanded one by one.  Their raw
-choice space is superpolynomial in n at fixed k, so they carry a work cap.
+:func:`tp_complete` is the paper's pipeline, kept as the reference path:
+kernelize (component split), build the candidate maximal cliques of every
+completion within budget, derive a block family from candidate triples,
+then run the block dynamic program and retrace an optimal edge set.  It
+builds one candidate family per kernel component, the near-clique family
+(see :func:`near_clique_family`), which contains every maximal clique of a
+completion with at most k added edges.  The paper's Type 1-4 recipes
+(:func:`enumerate_vital_pmcs`) stay as the reference family that the
+superset tests check against; neither solver runs them.  The Type-3/4
+enumerators realize their recipes with staged deduplication: the emitted
+set only depends on a handful of derived masks, so choices are grouped by
+those masks instead of being expanded one by one.  Their raw choice space
+is superpolynomial in n at fixed k, so they carry a work cap.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from .graph import (
     CertificationError,
     CompletionSet,
     Graph,
+    StateCapError,
     bits,
     components,
     edges_between,
@@ -35,6 +47,7 @@ from .graph import (
 from .recognition import is_trivially_perfect
 
 DEFAULT_WORK_CAP = 5_000_000
+STATE_CAP = 1_000_000
 
 
 class FamilyLimitError(RuntimeError):
@@ -492,3 +505,114 @@ def tp_complete(g: Graph, k: int,
         stats["value"] = None if result is None else total
         stats["elapsed"] = time.perf_counter() - t0
     return result
+
+
+def tp_complete_dp(g: Graph, k: int,
+                   stats: Optional[dict] = None) -> Optional[CompletionSet]:
+    """Minimum trivially perfect completion of size <= k, by the root-choice DP.
+
+    Exact (see the module docstring).  The memo holds connected sets without
+    a universal vertex; each paid root costs at least one edge, so the DP
+    recurses at most min(n, k + 1) deep, but no subexponential bound on the
+    number of sets is proved.  It raises :class:`StateCapError` instead of
+    storing more than ``STATE_CAP`` sets (or recursing past the interpreter's
+    limit).  ``stats`` receives ``n``, ``k``, ``states``, ``value`` (None when
+    nothing fits) and ``elapsed``.
+    """
+    if k < 0:
+        raise ValueError("budget must be non-negative")
+    t0 = time.perf_counter()
+    adj = g.adj
+    memo: dict[int, tuple[int, int]] = {}
+
+    def cost(s: int, cap: int) -> int:
+        """f(s) of a part s if at most cap, else a lower bound above cap."""
+        hit = memo.get(s)
+        if hit is not None and (hit[1] >= 0 or hit[0] > cap):
+            return hit[0]
+        last = s.bit_count() - 1
+        order = sorted((last - (adj[v] & s).bit_count(), v) for v in bits(s))
+        value, choice = math.inf, -1
+        for c, v in order:
+            limit = min(cap, value - 1)
+            if c > limit:
+                value = min(value, c)
+                break
+            x = c
+            for part in _parts(adj, s ^ (1 << v)):
+                x += cost(part, limit - x)
+                if x > limit:
+                    break
+            if x < value:
+                value, choice = x, (v if x <= cap else -1)
+        if hit is None and len(memo) >= STATE_CAP:
+            raise StateCapError(f"TP DP exceeded {STATE_CAP} states at budget {k}")
+        memo[s] = (value, choice)
+        return value
+
+    value = 0
+    roots = _parts(adj, g.vertices)
+    try:
+        for part in roots:
+            value += cost(part, k - value)
+            if value > k:
+                break
+    except RecursionError:
+        raise StateCapError(f"TP DP recursed too deep at budget {k}") from None
+    best: Optional[CompletionSet] = None
+    if value <= k:
+        pairs = []
+        todo = roots
+        while todo:
+            s = todo.pop()
+            v = memo[s][1]
+            pairs.extend((v, u) for u in bits(s & ~adj[v] & ~(1 << v)))
+            todo.extend(_parts(adj, s ^ (1 << v)))
+        best = CompletionSet(tuple(pairs), "addition")
+        if best.size != value:
+            raise CertificationError(
+                f"retrace gave {best.size} pairs, the DP value is {value}")
+        if not is_trivially_perfect(best.apply(g)):
+            raise CertificationError("tp_complete_dp answer is not trivially perfect")
+    if stats is not None:
+        stats.update({"n": g.n, "k": k, "states": len(memo),
+                      "value": None if best is None else value,
+                      "elapsed": time.perf_counter() - t0})
+    return best
+
+
+def _parts(adj: list[int], s: int) -> list[int]:
+    """The connected sets without a universal vertex that ``s`` splits into.
+
+    Splits G[s] into components and drops each component's universal
+    vertices until no piece has one; single vertices drop out.  The optimum
+    of G[s] is the sum of the optima of the parts.  Inline bit loops: this
+    is the DP's inner loop.
+    """
+    out = []
+    todo = [s] if s else []
+    while todo:
+        rest = todo.pop()
+        c = frontier = rest & -rest
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & rest & ~c
+            c |= frontier
+        if c != rest:
+            todo.append(rest ^ c)
+        free = 0
+        scan = c
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            if (adj[low.bit_length() - 1] | low) & c == c:
+                free |= low
+        if not free:
+            out.append(c)
+        elif free != c:
+            todo.append(c ^ free)
+    return out

@@ -38,7 +38,8 @@ def test_tracer_restores_every_binding_and_sees_solve():
     tracer = _layers().Tracer()
     tracer.install()
     try:
-        solve(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), "tp", 1)
+        solve(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), "tp", 1,
+              "subexp")
         assert any(span[0] == "tp_subexp.tp_complete" for span in tracer.spans)
     finally:
         tracer.restore()

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from fcomplete import threshold_subexp
+from fcomplete import threshold_subexp, tp_subexp
 from fcomplete.cli import main
 from fcomplete.graph import parse_graph
 
@@ -65,9 +65,13 @@ def test_solve_algo_agreement(c4_file, capsys):
 
 
 def test_solve_stats_flag(c4_file, capsys):
-    assert main(["solve", c4_file, "--problem", "tp", "--k", "1", "--stats"]) == 0
+    assert main(["solve", c4_file, "--problem", "tp", "--k", "1", "--stats",
+                 "--algo", "subexp"]) == 0
     err = capsys.readouterr().err
     assert "family=" in err
+    assert main(["solve", c4_file, "--problem", "tp", "--k", "1", "--stats"]) == 0
+    err = capsys.readouterr().err
+    assert "states=" in err and "value=1\n" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -133,6 +137,13 @@ def test_solve_threshold_state_cap_is_an_error(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(p), "--problem", "threshold", "--optimize"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "states" in captured.err
+
+
+def test_solve_tp_state_cap_is_an_error(c4_file, capsys, monkeypatch):
+    monkeypatch.setattr(tp_subexp, "STATE_CAP", 0)
+    assert main(["solve", c4_file, "--problem", "tp", "--optimize"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "TP DP exceeded 0 states" in captured.err
 
 
 def test_solve_threshold_nonpositive_trials_is_an_error(tmp_path, capsys):
@@ -237,7 +248,7 @@ def test_corpus_algo_agreement(capsys):
     for path in CORPUS:
         with open(path) as fh:
             n = parse_graph(fh.read()).n
-        runs = [("tp", ("subexp", "branch"))]
+        runs = [("tp", ("auto", "subexp", "branch"))]
         if n <= 9:
             runs.append(("threshold", ("auto", "subexp", "branch")))
         for problem, algos in runs:

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations, permutations
 
@@ -308,3 +309,17 @@ def test_oracle_certifies_its_answer(monkeypatch):
     with pytest.raises(CertificationError):
         exact_completion(cycle_graph(4), TP, 1)
     assert exact_completion(cycle_graph(4), TP, 0) is None
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # a recursive closure that holds itself would leave one cycle per call
+    g = random_graph(random.Random(3), 9, 0.4)
+    gc.collect()
+    gc.disable()
+    try:
+        exact_completion(g, TP, 36)
+        minimal_solutions_within(g, PSEUDO, 2)
+        next(occurrences(g, Pattern.P4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -6,11 +6,13 @@ from fcomplete import FAMILIES, Graph, Pattern, problem_family, solve
 from fcomplete.oracles import exact_completion
 from fcomplete.recognition import is_trivially_perfect
 from fcomplete.solve import ALGOS
-from fcomplete.tp_subexp import tp_complete
+from fcomplete.tp_subexp import tp_complete, tp_complete_dp
 
 from conftest import cycle_graph, disjoint_union, graphs, opt_size
 
 PROBLEMS = (*FAMILIES, "ffree:C4,P4", "ffree:C5")
+TP_ENGINES = pytest.mark.parametrize("tp", [tp_complete, tp_complete_dp],
+                                     ids=lambda f: f.__name__)
 
 
 def test_problem_labels():
@@ -42,33 +44,36 @@ def _full(g: Graph) -> int:
     return g.n * (g.n - 1) // 2
 
 
+@TP_ENGINES
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.data())
-def test_property_tp_opt_invariant_under_relabelling(data):
+@given(data=st.data())
+def test_property_tp_opt_invariant_under_relabelling(tp, data):
     g = data.draw(graphs(8))
     perm = data.draw(st.permutations(range(g.n)))
     h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    sol = tp_complete(h, _full(h))
-    assert sol.size == tp_complete(g, _full(g)).size
+    sol = tp(h, _full(h))
+    assert sol.size == tp(g, _full(g)).size
     assert is_trivially_perfect(sol.apply(h))
 
 
+@TP_ENGINES
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(graphs(8))
-def test_property_tp_yes_monotone_in_budget(g):
-    opt = tp_complete(g, _full(g)).size
+@given(g=graphs(8))
+def test_property_tp_yes_monotone_in_budget(tp, g):
+    opt = tp(g, _full(g)).size
     for k in range(opt + 2):
-        sol = tp_complete(g, k)
+        sol = tp(g, k)
         assert (sol is not None) == (k >= opt)
         assert sol is None or sol.size == opt
 
 
+@TP_ENGINES
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(graphs(6), graphs(6))
-def test_property_tp_opt_adds_over_disjoint_union(a, b):
+@given(a=graphs(6), b=graphs(6))
+def test_property_tp_opt_adds_over_disjoint_union(tp, a, b):
     both = disjoint_union(a, b)
-    opt = tp_complete(a, _full(a)).size + tp_complete(b, _full(b)).size
-    assert tp_complete(both, _full(both)).size == opt
-    assert tp_complete(both, opt).size == opt
+    opt = tp(a, _full(a)).size + tp(b, _full(b)).size
+    assert tp(both, _full(both)).size == opt
+    assert tp(both, opt).size == opt
     if opt:
-        assert tp_complete(both, opt - 1) is None
+        assert tp(both, opt - 1) is None

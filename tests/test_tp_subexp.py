@@ -1,10 +1,21 @@
+import inspect
 import math
 import random
+import sys
 
 import pytest
 
 from fcomplete import tp_subexp
-from fcomplete.graph import FAMILIES, Graph, bits, is_f_free, mask_of, non_edges_within
+from fcomplete.graph import (
+    FAMILIES,
+    CertificationError,
+    Graph,
+    StateCapError,
+    bits,
+    is_f_free,
+    mask_of,
+    non_edges_within,
+)
 from fcomplete.oracles import enumerate_minimal_completions, exact_completion
 from fcomplete.recognition import blocks_of, build_ucd, is_trivially_perfect
 from fcomplete.solve import format_stats
@@ -22,6 +33,7 @@ from fcomplete.tp_subexp import (
     near_clique_family,
     sqrt_budgets,
     tp_complete,
+    tp_complete_dp,
 )
 
 from conftest import (
@@ -246,3 +258,57 @@ def test_stats_emission():
     stats = {}
     assert tp_complete(cycle_graph(4), 0, stats=stats) is None
     assert stats["value"] is None and isinstance(stats["elapsed"], float)
+
+
+def test_dp_matches_oracle_on_every_graph_up_to_five_vertices():
+    for n in range(6):
+        for g in all_graphs(n):
+            opt = exact_completion(g, TP, n * (n - 1) // 2).size
+            sol = tp_complete_dp(g, opt)
+            assert sol.size == opt and is_trivially_perfect(sol.apply(g))
+            if opt:
+                assert tp_complete_dp(g, opt - 1) is None
+
+
+def test_dp_matches_oracle_random():
+    rng = random.Random(63)
+    for _ in range(150):
+        n = rng.randrange(0, 10)
+        g = random_graph(rng, n, rng.random())
+        k = rng.choice([n * (n - 1) // 2, rng.randrange(0, 8)])
+        assert opt_size(tp_complete_dp(g, k)) == opt_size(exact_completion(g, TP, k))
+
+
+def test_dp_stats_and_state_cap(monkeypatch):
+    g = random_graph(random.Random(3), 12, 0.4)
+    full = g.n * (g.n - 1) // 2
+    stats = {}
+    opt = tp_complete_dp(g, full, stats=stats).size
+    assert stats["value"] == opt and 1 < stats["states"] <= tp_subexp.STATE_CAP
+    assert stats["n"] == 12 and stats["k"] == full and stats["elapsed"] >= 0
+    monkeypatch.setattr(tp_subexp, "STATE_CAP", stats["states"] - 1)
+    with pytest.raises(StateCapError, match="states"):
+        tp_complete_dp(g, full)
+    monkeypatch.setattr(tp_subexp, "STATE_CAP", stats["states"])
+    assert tp_complete_dp(g, full).size == opt
+    stats = {}
+    assert tp_complete_dp(g, opt - 1, stats=stats) is None
+    assert stats["value"] is None
+
+
+def test_dp_deep_recursion_is_a_state_cap_error():
+    # the cheapest root of a path is its second vertex, which leaves a path
+    # two shorter: the first descent is 59 levels deep
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 30)
+    try:
+        with pytest.raises(StateCapError, match="deep"):
+            tp_complete_dp(path_graph(120), 120 * 119 // 2)
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_dp_failed_certification_is_raised(monkeypatch):
+    monkeypatch.setattr(tp_subexp, "is_trivially_perfect", lambda g: False)
+    with pytest.raises(CertificationError):
+        tp_complete_dp(cycle_graph(4), 1)
